@@ -1,10 +1,10 @@
 //! Distributed-engine overhead: the same circuit executed at increasing
-//! simulated rank counts (the strong-scaling communication tax), plus the
+//! shard counts (the strong-scaling communication tax), plus the
 //! static planner's cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nwq_circuit::Circuit;
-use nwq_dist::{plan_communication, run_and_gather};
+use nwq_dist::{plan_communication, run_sharded, ShardOptions};
 use nwq_statevec::simulate;
 
 fn ghz_plus_rotations(n: usize) -> Circuit {
@@ -32,7 +32,13 @@ fn bench_rank_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("ranks", n_ranks),
             &n_ranks,
-            |b, &n_ranks| b.iter(|| run_and_gather(&circuit, &[], n_ranks).unwrap()),
+            |b, &n_ranks| {
+                b.iter(|| {
+                    run_sharded(&circuit, &[], n_ranks, &ShardOptions::default())
+                        .unwrap()
+                        .gather()
+                })
+            },
         );
     }
     group.finish();

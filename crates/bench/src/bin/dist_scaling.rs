@@ -24,8 +24,9 @@
 
 use nwq_circuit::Circuit;
 use nwq_dist::{
-    distributed_energy, plan_communication, plan_communication_naive, run_distributed,
-    run_sharded_resilient, CostModel, FaultSchedule, RecoveryOptions, ShardOptions,
+    distributed_energy, plan_communication, plan_communication_naive, run_sharded,
+    run_sharded_resilient, CostModel, DistStateVector, FaultSchedule, RecoveryOptions,
+    ShardOptions,
 };
 use nwq_pauli::PauliOp;
 use nwq_telemetry::{JsonValue, Object};
@@ -100,12 +101,17 @@ impl Point {
     }
 }
 
+/// One plain sharded run with the default exchange deadlines.
+fn run(c: &Circuit, params: &[f64], n_ranks: usize) -> DistStateVector {
+    run_sharded(c, params, n_ranks, &ShardOptions::default()).expect("sharded run")
+}
+
 fn run_point(n_qubits: usize, n_ranks: usize, layers: usize, op: &PauliOp) -> Point {
     let c = layered_circuit(n_qubits, layers);
     let plan = plan_communication(&c, n_ranks).expect("plan");
     let naive = plan_communication_naive(&c, n_ranks).expect("naive plan");
     let started = Instant::now();
-    let state = run_distributed(&c, &[], n_ranks).expect("sharded run");
+    let state = run(&c, &[], n_ranks);
     let wall_s = started.elapsed().as_secs_f64();
     let stats = state.comm_stats();
     assert_eq!(
@@ -167,7 +173,7 @@ fn comm_probe(n_qubits: usize, rank_grid: &[usize]) -> JsonValue {
     let diag_single = nwq_statevec::simulate(&diag, &[]).expect("single-node diag");
     let mut diag_naive_bytes = 0u64;
     for &r in rank_grid.iter().filter(|&&r| r > 1) {
-        let state = run_distributed(&diag, &[], r).expect("diag run");
+        let state = run(&diag, &[], r);
         let stats = state.comm_stats();
         assert_eq!(
             (stats.messages, stats.bytes),
@@ -196,7 +202,7 @@ fn comm_probe(n_qubits: usize, rank_grid: &[usize]) -> JsonValue {
     let mut uccsd_bytes = 0u64;
     let mut uccsd_naive_bytes = 0u64;
     for &r in rank_grid {
-        let state = run_distributed(&uccsd, &params, r).expect("uccsd run");
+        let state = run(&uccsd, &params, r);
         let stats = state.comm_stats();
         for (a, b) in state
             .gather()
@@ -257,10 +263,8 @@ fn recovery_probe(
 ) -> JsonValue {
     let c = layered_circuit(n_qubits, layers);
     let opts = ShardOptions {
-        fuse_local: false,
         exchange_timeout_ms: 500,
         exchange_retries: 2,
-        ..ShardOptions::default()
     };
     let recovery = RecoveryOptions {
         snapshot_every,
@@ -268,7 +272,7 @@ fn recovery_probe(
         keep_versions: 2,
         snapshot_dir: None,
     };
-    let clean = run_distributed(&c, &[], n_ranks).expect("clean run");
+    let clean = run(&c, &[], n_ranks);
     let clean_amps: Vec<u64> = clean
         .gather()
         .amplitudes()
@@ -282,7 +286,7 @@ fn recovery_probe(
     let mut resilient_s = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
-        run_distributed(&c, &[], n_ranks).expect("plain rep");
+        run_sharded(&c, &[], n_ranks, &opts).expect("plain rep");
         plain_s = plain_s.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
         let (state, report) =

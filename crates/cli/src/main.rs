@@ -7,8 +7,8 @@
 //! nwq adapt [--orbitals N] [--electrons M] [--max-iter K] [--metrics FILE.json]
 //!           [resilience flags]
 //! nwq qpe   [--r BOHR] [--ancillas N] [--steps N] [--order 1|2] [--metrics FILE.json]
-//! nwq fuse  --in FILE.qasm [--out FILE.qasm is unsupported: fused blocks
-//!           have no QASM form; stats are printed instead]
+//! nwq fuse  --in FILE.qasm   (fused blocks have no QASM form; stats are
+//!           printed instead)
 //! nwq serve [--addr 127.0.0.1:7878] [--workers N] [--queue-capacity N]
 //!           [--max-batch N] [--cache-capacity N] [--aging-ms MS]
 //!           [--retries N] [--inject-faults RATE] [--fault-seed SEED]
@@ -18,7 +18,7 @@
 //!           [--params a,b,...] [--x0 a,b,...] [--max-evals N] [--max-iter K]
 //!           [--priority low|normal|high] [--deadline-ms MS] [--id N] [--wait 0|1]
 //!           [--timeout-ms MS]
-//! nwq dist  [--qubits N] [--ranks R] [--layers L] [--fuse-local 0|1]
+//! nwq dist  [--qubits N] [--ranks R] [--layers L]
 //!           [--snapshot-every N] [--inject-rank-loss RATE] [--fault-seed SEED]
 //!           [--exchange-timeout-ms MS] [--exchange-retries N]
 //!           [--metrics FILE.json]
@@ -38,8 +38,10 @@
 //! ```
 //!
 //! Every subcommand prints plain-text results; exit code 0 on success,
-//! 1 on a domain error, 2 on a usage error. `--metrics FILE.json` enables
-//! the nwq-telemetry layer and writes its JSON snapshot on success.
+//! 1 on a domain error, 2 on a usage error — including any flag the
+//! subcommand does not read. `--metrics FILE.json` (accepted everywhere)
+//! enables the nwq-telemetry layer and writes its JSON snapshot on
+//! success.
 
 use nwq_chem::molecules::{h2_sto3g, water_model};
 use nwq_chem::sto3g::h2_molecule;
@@ -57,6 +59,82 @@ use nwq_opt::{Adam, GradOptimizer, Lbfgs, NelderMead, Optimizer, Spsa};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
+/// The resilience flags `vqe` and `adapt` share.
+const RESILIENCE_FLAGS: &[&str] = &[
+    "retries",
+    "checkpoint",
+    "checkpoint-every",
+    "resume",
+    "kill-after-evals",
+    "inject-faults",
+    "fault-seed",
+];
+
+/// Every flag `cmd` reads besides `--metrics` (which `main` reads for all
+/// subcommands), or `None` for an unknown subcommand.
+fn subcommand_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    let own: &[&str] = match cmd {
+        "vqe" => &[
+            "molecule",
+            "r",
+            "orbitals",
+            "electrons",
+            "max-evals",
+            "optimizer",
+            "grad",
+        ],
+        "adapt" => &["orbitals", "electrons", "max-iter"],
+        "qpe" => &["r", "ancillas", "steps", "order"],
+        "fuse" => &["in"],
+        "serve" => &[
+            "addr",
+            "workers",
+            "queue-capacity",
+            "aging-ms",
+            "cache-capacity",
+            "max-batch",
+            "retries",
+            "inject-faults",
+            "fault-seed",
+            "kill-after-evals",
+        ],
+        "client" => &[
+            "addr",
+            "op",
+            "timeout-ms",
+            "wait",
+            "id",
+            "molecule",
+            "job",
+            "params",
+            "x0",
+            "max-evals",
+            "max-iter",
+            "priority",
+            "deadline-ms",
+        ],
+        "dist" => &[
+            "qubits",
+            "ranks",
+            "layers",
+            "snapshot-every",
+            "inject-rank-loss",
+            "fault-seed",
+            "exchange-timeout-ms",
+            "exchange-retries",
+        ],
+        "info" => &[],
+        _ => return None,
+    };
+    let mut flags = own.to_vec();
+    if matches!(cmd, "vqe" | "adapt") {
+        flags.extend(RESILIENCE_FLAGS);
+    }
+    flags.push("metrics");
+    Some(flags)
+}
+
+#[derive(Debug)]
 struct Args {
     flags: HashMap<String, String>,
 }
@@ -73,6 +151,34 @@ impl Args {
             flags.insert(key.to_string(), val.clone());
         }
         Ok(Args { flags })
+    }
+
+    /// Parses `argv` and rejects any flag `cmd` does not read, naming it —
+    /// a typo such as `--qubit` must not quietly run with defaults.
+    fn parse_for(cmd: &str, argv: &[String]) -> Result<Args, String> {
+        let known = subcommand_flags(cmd).ok_or_else(|| format!("unknown subcommand {cmd:?}"))?;
+        let args = Args::parse(argv)?;
+        let mut unknown: Vec<&str> = args
+            .flags
+            .keys()
+            .map(String::as_str)
+            .filter(|k| !known.contains(k))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(args);
+        }
+        unknown.sort_unstable();
+        let list = |keys: &[&str]| {
+            keys.iter()
+                .map(|k| format!("--{k}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        Err(format!(
+            "unknown flag {} for `nwq {cmd}` (accepted: {})",
+            list(&unknown),
+            list(&known)
+        ))
     }
 
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
@@ -451,7 +557,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `nwq dist`: run a layered benchmark circuit through the real sharded
+/// `nwq dist`: run a layered benchmark circuit through the sharded
 /// executor and report the measured-vs-modeled communication picture plus
 /// a gather-free energy readout. `--snapshot-every` / `--inject-rank-loss`
 /// route through the survivable executor: consistent-cut snapshots plus
@@ -460,7 +566,6 @@ fn cmd_dist(args: &Args) -> Result<(), String> {
     let n_qubits: usize = args.get("qubits", 16)?;
     let n_ranks: usize = args.get("ranks", 4)?;
     let layers: usize = args.get("layers", 2)?;
-    let fuse_local = args.get("fuse-local", 0u8)? != 0;
     let snapshot_every: usize = args.get("snapshot-every", 0)?;
     let loss_rate: f64 = args.get("inject-rank-loss", 0.0)?;
     if !(0.0..=1.0).contains(&loss_rate) {
@@ -469,11 +574,6 @@ fn cmd_dist(args: &Args) -> Result<(), String> {
         ));
     }
     let resilient = snapshot_every > 0 || loss_rate > 0.0;
-    if resilient && fuse_local {
-        return Err("--fuse-local 1 is incompatible with the resilient path \
-                    (recovery replays per-gate for bitwise identity)"
-            .into());
-    }
 
     // Layered hardware-efficient circuit whose CX ring always crosses the
     // global/local boundary — same family the dist_scaling bench sweeps.
@@ -490,19 +590,10 @@ fn cmd_dist(args: &Args) -> Result<(), String> {
         }
     }
 
-    let lean = args.get("lean", 1u8)? != 0;
-    // Each mode is checked against its own planner: the θ-aware lean plan
-    // or the naive full-exchange pattern.
-    let plan = if lean {
-        nwq_dist::plan_communication(&c, n_ranks).map_err(|e| e.to_string())?
-    } else {
-        nwq_dist::plan_communication_naive(&c, n_ranks).map_err(|e| e.to_string())?
-    };
+    let plan = nwq_dist::plan_communication(&c, n_ranks).map_err(|e| e.to_string())?;
     let opts = nwq_dist::ShardOptions {
-        fuse_local,
         exchange_timeout_ms: args.get("exchange-timeout-ms", 2000)?,
         exchange_retries: args.get("exchange-retries", 4)?,
-        lean_exchange: lean,
     };
     let started = std::time::Instant::now();
     let (state, recovery_report) = if resilient {
@@ -534,7 +625,7 @@ fn cmd_dist(args: &Args) -> Result<(), String> {
             ..Default::default()
         };
         let (state, report) =
-            nwq_dist::run_distributed_resilient(&c, &[], n_ranks, &opts, &recovery, &schedule)
+            nwq_dist::run_sharded_resilient(&c, &[], n_ranks, &opts, &recovery, &schedule)
                 .map_err(|e| e.to_string())?;
         (state, Some(report))
     } else {
@@ -566,29 +657,21 @@ fn cmd_dist(args: &Args) -> Result<(), String> {
         state.partition_len()
     );
     println!(
-        "gates   : {gates} total ({} local, {} global{})",
-        stats.local_gates,
-        stats.global_gates,
-        if fuse_local { ", local runs fused" } else { "" }
+        "gates   : {gates} total ({} local, {} global)",
+        stats.local_gates, stats.global_gates
     );
     println!(
-        "comm    : {} messages, {} bytes (planned {} / {}, {})",
-        stats.messages,
-        stats.bytes,
-        plan.messages,
-        plan.bytes,
-        if lean { "lean" } else { "naive" }
+        "comm    : {} messages, {} bytes (planned {} / {})",
+        stats.messages, stats.bytes, plan.messages, plan.bytes
     );
-    if lean {
-        println!(
-            "lean    : {} exchanges elided, {} fused, {} bytes saved vs naive",
-            stats.exchanges_elided, stats.exchanges_fused, stats.bytes_saved
-        );
-    }
+    println!(
+        "saved   : {} exchanges elided, {} fused, {} bytes vs the naive full-exchange plan",
+        stats.exchanges_elided, stats.exchanges_fused, stats.bytes_saved
+    );
     // After a recovery, the measured stats cover only the final
     // generation's replayed suffix — the plan-equality invariant only
     // holds for fault-free runs.
-    if !fuse_local && loss_rate == 0.0 && stats != plan {
+    if loss_rate == 0.0 && stats != plan {
         return Err("measured exchange traffic diverged from the communication plan".into());
     }
     println!(
@@ -736,7 +819,7 @@ fn main() -> ExitCode {
         cmd_info();
         return ExitCode::from(2);
     };
-    let args = match Args::parse(&argv[1..]) {
+    let args = match Args::parse_for(cmd, &argv[1..]) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("usage error: {e}");
@@ -762,10 +845,7 @@ fn main() -> ExitCode {
             cmd_info();
             Ok(())
         }
-        other => {
-            eprintln!("unknown subcommand {other:?}");
-            return ExitCode::from(2);
-        }
+        other => unreachable!("parse_for rejected subcommand {other:?}"),
     };
     if let (Some(path), Ok(())) = (&metrics_path, &result) {
         // Derived gauge: fraction of post-ansatz lookups served from cache.
@@ -788,5 +868,54 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: &str, argv: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        Args::parse_for(cmd, &argv)
+    }
+
+    #[test]
+    fn dist_rejects_the_removed_exchange_flags() {
+        for flag in ["--lean", "--fuse-local"] {
+            let e = parse("dist", &["--qubits", "14", flag, "0"]).unwrap_err();
+            assert!(e.contains(flag), "{e}");
+            assert!(e.contains("nwq dist"), "{e}");
+        }
+        let e = parse("dist", &["--fuse-local", "1"]).unwrap_err();
+        assert!(e.contains("--fuse-local"), "{e}");
+    }
+
+    #[test]
+    fn typo_is_named_instead_of_running_with_defaults() {
+        let e = parse("dist", &["--qubit", "20", "--ranks", "2"]).unwrap_err();
+        assert!(e.starts_with("unknown flag --qubit "), "{e}");
+        // The accepted list points at the intended spelling.
+        assert!(e.contains("--qubits"), "{e}");
+    }
+
+    #[test]
+    fn every_flag_a_subcommand_reads_is_accepted() {
+        let dist = parse(
+            "dist",
+            &["--qubits", "14", "--ranks", "4", "--metrics", "m.json"],
+        )
+        .unwrap();
+        assert_eq!(dist.get("qubits", 0usize).unwrap(), 14);
+        parse(
+            "vqe",
+            &["--molecule", "h2", "--grad", "adjoint", "--retries", "3"],
+        )
+        .unwrap();
+        parse("adapt", &["--orbitals", "4", "--checkpoint", "ck.json"]).unwrap();
+        parse("info", &[]).unwrap();
+        // Flags are per subcommand: `--qubits` means nothing to `vqe`.
+        assert!(parse("vqe", &["--qubits", "4"]).is_err());
+        assert!(parse("bogus", &[]).is_err());
     }
 }

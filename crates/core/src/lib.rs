@@ -5,7 +5,7 @@
 //!
 //! - [`backend`] — XACC-style execution backends spanning the paper's
 //!   design space (non-caching baseline, §4.1 cached measurement, §4.1+§4.2
-//!   direct expectation, shot sampling, simulated multi-rank);
+//!   direct expectation, shot sampling, sharded multi-rank);
 //! - [`vqe`] — the variational loop (§3.1);
 //! - [`adapt`] — ADAPT-VQE with pool-gradient screening (§5.3, Fig 5);
 //! - [`qpe`] — Trotterized quantum phase estimation;

@@ -1,10 +1,14 @@
-//! Communication accounting for the simulated multi-rank execution.
+//! Communication accounting for sharded execution: the measured counters
+//! and the non-executing planners.
 
+use crate::faults::FaultSchedule;
+use crate::partition::local_qubits;
+use crate::shard::{accumulate_step, compile};
 use nwq_circuit::Circuit;
-use nwq_common::{Error, Result};
+use nwq_common::Result;
 use std::ops::AddAssign;
 
-/// Counters for simulated inter-rank communication. This is the quantity
+/// Counters for inter-rank communication. This is the quantity
 /// that dominates distributed statevector simulation (SV-Sim's PGAS
 /// design): gates on *global* qubits (those encoded in the rank id) force
 /// partner ranks to exchange their full partitions.
@@ -72,52 +76,59 @@ impl AddAssign for CommStats {
 /// rejects: `n_ranks` must be a power of two small enough that every rank
 /// keeps at least 2 local qubits.
 ///
-/// This is the θ-aware plan for the default lean executor: it resolves
-/// every gate's bound matrix, classifies it against the PGAS layout
-/// (diagonal → elided, block → half-payload or sub-block exchange), and
-/// marks fusion windows — the same per-step pass the executor compiles,
-/// so "measured == planned" is a structural identity on fault-free runs.
-/// Symbolic (unbound) circuits are planned against a representative
+/// This is the θ-aware plan of the sharded executor: it compiles the
+/// same tape [`crate::run_sharded`] replays (bound matrices classified
+/// against the PGAS layout: diagonal → elided, block → half-payload or
+/// sub-block exchange, fusion windows marked) and sums it without running
+/// it, so "measured == planned" is a structural identity on fault-free
+/// runs. Symbolic (unbound) circuits are planned against a representative
 /// generic binding; pass concrete angles via [`plan_communication_with`]
-/// when you have them. The naive full-exchange pattern
-/// ([`crate::ShardOptions::lean_exchange`] = false) is predicted by
-/// [`plan_communication_naive`].
+/// when you have them. The naive full-exchange baseline the savings are
+/// measured against is [`plan_communication_naive`].
 pub fn plan_communication(circuit: &Circuit, n_ranks: usize) -> Result<CommStats> {
     plan_communication_with(circuit, &[], n_ranks)
 }
 
 /// [`plan_communication`] against a concrete parameter binding — the plan
-/// the lean executor realizes when running `circuit` with `params`.
+/// the executor realizes when running `circuit` with `params`.
 pub fn plan_communication_with(
     circuit: &Circuit,
     params: &[f64],
     n_ranks: usize,
 ) -> Result<CommStats> {
-    crate::shard::plan_lean(circuit, params, n_ranks)
+    // Symbolic circuits plan against a representative generic binding:
+    // every standard gate's *shape* is angle-independent away from
+    // measure-zero special angles (RZ/CZ/CP/RZZ diagonal for all θ, CX
+    // block for all, RX/RY/U3 dense for generic θ), so the plan matches
+    // any non-degenerate binding. Bound circuits use their real matrices.
+    let generic: Vec<f64>;
+    let params = if params.is_empty() && circuit.n_params() > 0 {
+        generic = vec![0.618_033_988_749_894_9; circuit.n_params()];
+        &generic
+    } else {
+        params
+    };
+    let tape = compile(circuit, params, n_ranks, 0, &FaultSchedule::none(), None)?;
+    let mut stats = CommStats {
+        local_gates: tape.local_gates,
+        global_gates: tape.global_gates,
+        ..CommStats::default()
+    };
+    let pb = 16u64 << tape.n_local;
+    for sc in &tape.comm {
+        accumulate_step(&mut stats, sc, n_ranks as u64, pb);
+    }
+    Ok(stats)
 }
 
-/// Predicts the *naive* exchange pattern (lean execution disabled): every
-/// global gate moves full partitions pairwise within its 2^globals-rank
-/// group, regardless of matrix structure. This was the only pattern (and
-/// the only planner) before θ-aware planning; it remains the baseline that
-/// `bytes_saved` is measured against. (The planner used to clamp
-/// `n_local` to 0 for degenerate rank counts and happily report
-/// full-partition pairwise traffic for partitions that cannot exist —
-/// both planners reject those, exactly like the executor.)
+/// Predicts the *naive* exchange pattern: every global gate moves full
+/// partitions pairwise within its 2^globals-rank group, regardless of
+/// matrix structure. No executor runs this pattern; it is the baseline
+/// `bytes_saved` is measured against (`bytes + bytes_saved` of a
+/// fault-free run equals this plan's `bytes`). Rejects the same layouts
+/// as [`plan_communication`].
 pub fn plan_communication_naive(circuit: &Circuit, n_ranks: usize) -> Result<CommStats> {
-    if !n_ranks.is_power_of_two() {
-        return Err(Error::Invalid(format!(
-            "{n_ranks} ranks: rank count must be a power of two"
-        )));
-    }
-    let n_global = n_ranks.trailing_zeros() as usize;
-    let n_qubits = circuit.n_qubits();
-    if n_global + 2 > n_qubits {
-        return Err(Error::Invalid(format!(
-            "{n_ranks} ranks leave fewer than 2 local qubits of a {n_qubits}-qubit register"
-        )));
-    }
-    let n_local = n_qubits - n_global;
+    let n_local = local_qubits(circuit.n_qubits(), n_ranks)?;
     let part_bytes = 16u64 << n_local;
     let mut stats = CommStats::default();
     for g in circuit.gates() {
@@ -300,26 +311,39 @@ mod tests {
             }
             for n_ranks in [1usize << n_qubits, 1usize << (n_qubits + 1)] {
                 let planned = plan_communication(&c, n_ranks);
-                let executed = crate::exec::run_distributed(&c, &[], n_ranks);
+                let opts = crate::ShardOptions::default();
+                let mut inj = crate::FaultInjector::new(crate::FaultSpec::default());
+                let recovery = crate::RecoveryOptions::default();
+                let none = crate::FaultSchedule::none();
+                // Every entry point compiles through the planner's code,
+                // so each rejects with the planner's exact error.
+                let executed = [
+                    crate::run_sharded(&c, &[], n_ranks, &opts).err(),
+                    crate::run_sharded_faulty(&c, &[], n_ranks, &mut inj).err(),
+                    crate::run_sharded_resilient(&c, &[], n_ranks, &opts, &recovery, &none).err(),
+                ];
                 assert!(
                     planned.is_err(),
                     "planner must reject {n_ranks} ranks on {n_qubits} qubits"
                 );
-                assert!(
-                    executed.is_err(),
-                    "executor must reject {n_ranks} ranks on {n_qubits} qubits"
-                );
-                assert!(matches!(
-                    planned.unwrap_err(),
-                    nwq_common::Error::Invalid(_)
-                ));
+                let planned = planned.unwrap_err();
+                for e in executed {
+                    let e = e.unwrap_or_else(|| {
+                        panic!("executor must reject {n_ranks} ranks on {n_qubits} qubits")
+                    });
+                    assert_eq!(e.to_string(), planned.to_string());
+                }
+                assert!(matches!(planned, nwq_common::Error::Invalid(_)));
             }
             // The boundary case (exactly 2 local qubits) is valid on both
             // sides and must agree exactly.
             if n_qubits >= 4 {
                 let n_ranks = 1usize << (n_qubits - 2);
                 let planned = plan_communication(&c, n_ranks).unwrap();
-                let (_, measured) = crate::exec::run_and_gather(&c, &[], n_ranks).unwrap();
+                let measured =
+                    crate::run_sharded(&c, &[], n_ranks, &crate::ShardOptions::default())
+                        .unwrap()
+                        .comm_stats();
                 assert_eq!(planned, measured, "{n_qubits} qubits / {n_ranks} ranks");
             }
         }

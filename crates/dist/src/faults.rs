@@ -6,7 +6,7 @@
 //! [`FaultInjector`] decides, per opportunity, whether a fault fires, so
 //! every recovery path in the workspace can be exercised by an ordinary
 //! unit test. The injector is pure configuration + RNG — it never touches
-//! simulator state itself; the execution layers ([`crate::exec`] and the
+//! simulator state itself; the execution layers ([`crate::shard`] and the
 //! `FaultyBackend` decorator in `nwq-core`) ask it what to break.
 
 use rand::rngs::StdRng;
@@ -297,7 +297,7 @@ pub struct RankDelay {
 }
 
 /// A deterministic schedule of recoverable shard faults, in *gate*
-/// coordinates. The resilient compiler translates these to absolute tape
+/// coordinates. The tape compiler translates these to absolute tape
 /// indices and arms each entry exactly once, so a fault fires in the
 /// generation that first reaches its step and never re-fires during
 /// replay (which would otherwise recovery-loop forever).
@@ -415,19 +415,17 @@ mod tests {
 
     #[test]
     fn telemetry_counts_injected_faults() {
-        nwq_telemetry::reset();
-        nwq_telemetry::set_enabled(true);
-        let before = nwq_telemetry::counter_value("resilience.faults_injected");
         let mut inj = FaultInjector::new(FaultSpec {
             message_corruption: 1.0,
             seed: 1,
             ..FaultSpec::default()
         });
-        assert!(inj.should_corrupt_message());
-        assert!(inj.should_corrupt_message());
-        let injected = nwq_telemetry::counter_value("resilience.faults_injected") - before;
-        let by_class = nwq_telemetry::counter_value("resilience.faults.message_corruption");
-        nwq_telemetry::set_enabled(false);
+        let (_, snap) = nwq_telemetry::capture(|| {
+            assert!(inj.should_corrupt_message());
+            assert!(inj.should_corrupt_message());
+        });
+        let injected = snap.counter("resilience.faults_injected");
+        let by_class = snap.counter("resilience.faults.message_corruption");
         assert_eq!(injected, 2);
         assert_eq!(by_class, 2);
     }

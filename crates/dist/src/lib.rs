@@ -4,33 +4,33 @@
 //! substrate standing in for NWQ-Sim's multi-node MPI/NVSHMEM backends on
 //! Perlmutter/Summit:
 //!
-//! - [`shard`] — REAL sharded execution: one OS worker thread per rank,
-//!   true partner-exchange messages on global-qubit gates, bitwise
-//!   identical to the single-node simulator on the unfused path;
-//! - [`partition::DistStateVector`] — the partitioned amplitude container
-//!   (its own `apply_*` methods remain as the single-threaded reference
-//!   implementation the sharded path is checked against);
+//! - [`shard`] — the executor: one OS worker thread per rank, true
+//!   partner-exchange messages on global-qubit gates, bitwise identical
+//!   to the single-node simulator. Three entry points share one tape
+//!   compiler and one exchange protocol: [`run_sharded`],
+//!   [`run_sharded_faulty`] and [`run_sharded_resilient`];
+//! - [`partition::DistStateVector`] — the sharded amplitude container a
+//!   run returns (read it with `gather()` or [`distributed_energy`]);
 //! - [`energy`] — gather-free shard-parallel expectation values, so
 //!   registers past single-allocation size can still be read out;
-//! - [`comm`] — communication counters and the non-executing planner
-//!   (pinned to agree exactly with the measured exchange counts);
+//! - [`comm`] — communication counters and the non-executing planners
+//!   (the θ-aware plan, pinned to equal the measured exchange counts, and
+//!   the naive full-exchange baseline);
 //! - [`costmodel`] — α–β latency/bandwidth model with Perlmutter-like
 //!   defaults, kept as a predictor checked against measured counters;
-//! - [`exec`] — circuit execution and gather-based verification (bit-exact
-//!   against the single-node simulator for every rank count);
+//! - [`remap`] — communication-avoiding qubit layout (pure helpers);
 //! - [`faults`] — deterministic seeded fault injection (lost ranks,
 //!   corrupted exchanges, norm drift, failed evaluations, recoverable
 //!   rank deaths / message drops / stragglers) used to exercise the
 //!   workspace's recovery paths;
 //! - [`snapshot`] — versioned consistent-cut shard snapshots backing
-//!   [`shard::run_sharded_resilient`]'s bitwise rank-loss recovery.
+//!   [`run_sharded_resilient`]'s bitwise rank-loss recovery.
 
 #![warn(missing_docs)]
 
 pub mod comm;
 pub mod costmodel;
 pub mod energy;
-pub mod exec;
 pub mod faults;
 pub mod partition;
 pub mod remap;
@@ -39,15 +39,12 @@ pub mod snapshot;
 
 pub use comm::{plan_communication, plan_communication_naive, plan_communication_with, CommStats};
 pub use costmodel::CostModel;
-pub use energy::{distributed_energy, run_distributed_energy, run_resilient_energy};
-pub use exec::{
-    run_and_gather, run_distributed, run_distributed_faulty, run_distributed_resilient,
-};
+pub use energy::distributed_energy;
 pub use faults::{
     FaultInjector, FaultSchedule, FaultSpec, FaultStats, MessageDrop, RankDeath, RankDelay,
 };
 pub use partition::DistStateVector;
-pub use remap::{plan_layout, run_distributed_with_layout};
+pub use remap::{plan_layout, unpermute};
 pub use shard::{
     run_sharded, run_sharded_faulty, run_sharded_resilient, RecoveryOptions, RecoveryReport,
     ShardOptions,
@@ -56,7 +53,10 @@ pub use snapshot::SnapshotStore;
 
 #[cfg(test)]
 mod proptests {
-    use crate::exec::run_and_gather;
+    use crate::{
+        plan_communication, run_sharded, run_sharded_faulty, run_sharded_resilient, FaultInjector,
+        FaultSchedule, FaultSpec, RecoveryOptions, ShardOptions,
+    };
     use nwq_circuit::Circuit;
     use proptest::prelude::*;
 
@@ -93,15 +93,70 @@ mod proptests {
             // single-node simulator for every shard count — same kernel
             // arithmetic, same diagonal fast paths, exchange and all.
             let single = nwq_statevec::simulate(&c, &[]).unwrap();
+            let opts = ShardOptions::default();
+            let no_snapshots = RecoveryOptions {
+                snapshot_every: 0,
+                ..RecoveryOptions::default()
+            };
             for n_ranks in [1usize, 2, 4, 8] {
-                let (gathered, stats) = run_and_gather(&c, &[], n_ranks).unwrap();
-                for (a, b) in gathered.amplitudes().iter().zip(single.amplitudes()) {
+                let d = run_sharded(&c, &[], n_ranks, &opts).unwrap();
+                for (a, b) in d.gather().amplitudes().iter().zip(single.amplitudes()) {
                     prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
                     prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
                 }
                 // Measured exchange traffic equals the non-executing plan.
-                let plan = crate::comm::plan_communication(&c, n_ranks).unwrap();
-                prop_assert_eq!(stats, plan);
+                let plan = plan_communication(&c, n_ranks).unwrap();
+                prop_assert_eq!(d.comm_stats(), plan);
+                // The resilient entry point with nothing to snapshot or
+                // recover replays the same tape through the same protocol:
+                // bitwise-equal shards and equal counters.
+                let (r, report) = run_sharded_resilient(
+                    &c, &[], n_ranks, &opts, &no_snapshots, &FaultSchedule::none(),
+                ).unwrap();
+                prop_assert_eq!(report.generations, 1);
+                for rank in 0..n_ranks {
+                    for (a, b) in r.partition(rank).iter().zip(d.partition(rank)) {
+                        prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "resilient ranks={}", n_ranks);
+                        prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "resilient ranks={}", n_ranks);
+                    }
+                }
+                prop_assert_eq!(r.comm_stats(), d.comm_stats(), "resilient ranks={}", n_ranks);
+            }
+        }
+
+        #[test]
+        fn rank_death_replay_stays_bitwise(
+            c in (5usize..=6).prop_flat_map(|n| arb_circuit(n, 20)),
+            kill_seed in 0usize..1000,
+        ) {
+            let single = nwq_statevec::simulate(&c, &[]).unwrap();
+            // A rank death replayed through the exchange protocol (elision
+            // decisions and lost fusion mirrors included) stays bitwise.
+            if !c.gates().is_empty() {
+                let n_ranks = 4usize;
+                let schedule = FaultSchedule::kill(
+                    kill_seed % c.gates().len(),
+                    (kill_seed / 7) % n_ranks,
+                );
+                let recovery = RecoveryOptions {
+                    snapshot_every: 2,
+                    max_recoveries: 8,
+                    keep_versions: 2,
+                    snapshot_dir: None,
+                };
+                // Short deadlines so the dead rank's partners give up fast.
+                let faulty_opts = ShardOptions {
+                    exchange_timeout_ms: 100,
+                    exchange_retries: 2,
+                };
+                let (d, report) = run_sharded_resilient(
+                    &c, &[], n_ranks, &faulty_opts, &recovery, &schedule,
+                ).unwrap();
+                prop_assert_eq!(report.recoveries, 1);
+                for (a, b) in d.gather().amplitudes().iter().zip(single.amplitudes()) {
+                    prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "recovered vs single");
+                    prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "recovered vs single");
+                }
             }
         }
 
@@ -111,8 +166,8 @@ mod proptests {
             // bitwise invisible to the executed state.
             let single = nwq_statevec::simulate(&c, &[]).unwrap();
             for n_ranks in [2usize, 4, 8] {
-                let mut inj = crate::FaultInjector::new(crate::FaultSpec::default());
-                let d = crate::run_distributed_faulty(&c, &[], n_ranks, &mut inj).unwrap();
+                let mut inj = FaultInjector::new(FaultSpec::default());
+                let d = run_sharded_faulty(&c, &[], n_ranks, &mut inj).unwrap();
                 prop_assert_eq!(inj.stats().total(), 0);
                 for (a, b) in d.gather().amplitudes().iter().zip(single.amplitudes()) {
                     prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
@@ -122,88 +177,19 @@ mod proptests {
         }
 
         #[test]
-        fn lean_and_full_exchange_agree_bitwise(
-            c in (5usize..=6).prop_flat_map(|n| arb_circuit(n, 20)),
-            kill_seed in 0usize..1000,
-        ) {
-            // The exchange-lean executor (elision + half-shard payloads +
-            // fusion) and the full-exchange executor are two wire
-            // protocols for the same arithmetic: both must be BITWISE
-            // identical to the single-node simulator for every shard
-            // count, and full mode must measure exactly the naive plan.
-            let single = nwq_statevec::simulate(&c, &[]).unwrap();
-            let lean_opts = crate::ShardOptions::default();
-            let full_opts = crate::ShardOptions {
-                lean_exchange: false,
-                exchange_timeout_ms: 100,
-                exchange_retries: 2,
-                ..crate::ShardOptions::default()
-            };
-            for n_ranks in [1usize, 2, 4, 8] {
-                for (opts, plan, label) in [
-                    (&lean_opts, crate::comm::plan_communication(&c, n_ranks).unwrap(), "lean"),
-                    (&full_opts, crate::comm::plan_communication_naive(&c, n_ranks).unwrap(), "full"),
-                ] {
-                    let d = crate::run_sharded(&c, &[], n_ranks, opts).unwrap();
-                    for (a, b) in d.gather().amplitudes().iter().zip(single.amplitudes()) {
-                        prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "{} ranks={}", label, n_ranks);
-                        prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "{} ranks={}", label, n_ranks);
-                    }
-                    prop_assert_eq!(d.comm_stats(), plan, "{} ranks={}", label, n_ranks);
-                }
-            }
-            // A rank death replayed through the lean protocol (elision
-            // decisions and lost fusion mirrors included) stays bitwise.
-            if !c.gates().is_empty() {
-                let n_ranks = 4usize;
-                let schedule = crate::FaultSchedule::kill(
-                    kill_seed % c.gates().len(),
-                    (kill_seed / 7) % n_ranks,
-                );
-                let recovery = crate::RecoveryOptions {
-                    snapshot_every: 2,
-                    max_recoveries: 8,
-                    keep_versions: 2,
-                    snapshot_dir: None,
-                };
-                let (d, report) = crate::run_sharded_resilient(
-                    &c, &[], n_ranks, &full_opts, &recovery, &schedule,
-                ).unwrap();
-                // full_opts carries the short test deadlines; flip lean on.
-                let lean_faulty = crate::ShardOptions {
-                    lean_exchange: true,
-                    ..full_opts
-                };
-                let (dl, report_l) = crate::run_sharded_resilient(
-                    &c, &[], n_ranks, &lean_faulty, &recovery, &schedule,
-                ).unwrap();
-                prop_assert_eq!(report.recoveries, 1);
-                prop_assert_eq!(report_l.recoveries, 1);
-                for (a, b) in dl.gather().amplitudes().iter().zip(d.gather().amplitudes()) {
-                    prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "faulty lean vs full");
-                    prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "faulty lean vs full");
-                }
-                for (a, b) in dl.gather().amplitudes().iter().zip(single.amplitudes()) {
-                    prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "faulty lean vs single");
-                    prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "faulty lean vs single");
-                }
-            }
-        }
-
-        #[test]
         fn comm_plan_matches_execution(c in arb_circuit(6, 24)) {
             for n_ranks in [2usize, 4] {
-                let (_, stats) = run_and_gather(&c, &[], n_ranks).unwrap();
-                let plan = crate::comm::plan_communication(&c, n_ranks).unwrap();
-                prop_assert_eq!(stats, plan);
+                let d = run_sharded(&c, &[], n_ranks, &ShardOptions::default()).unwrap();
+                let plan = plan_communication(&c, n_ranks).unwrap();
+                prop_assert_eq!(d.comm_stats(), plan);
             }
         }
 
         #[test]
         fn comm_monotone_in_rank_count(c in arb_circuit(6, 24)) {
-            let m2 = crate::comm::plan_communication(&c, 2).unwrap().messages;
-            let m4 = crate::comm::plan_communication(&c, 4).unwrap().messages;
-            let m8 = crate::comm::plan_communication(&c, 8).unwrap().messages;
+            let m2 = plan_communication(&c, 2).unwrap().messages;
+            let m4 = plan_communication(&c, 4).unwrap().messages;
+            let m8 = plan_communication(&c, 8).unwrap().messages;
             prop_assert!(m2 <= m4 && m4 <= m8);
         }
     }

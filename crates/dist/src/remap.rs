@@ -6,12 +6,12 @@
 //! `|0…0⟩` is symmetric under qubit relabeling, the executor is free to
 //! choose *which logical qubits* occupy the global positions before the
 //! run starts — for free. [`plan_layout`] puts the most frequently used
-//! logical qubits in local positions; [`run_distributed_with_layout`]
-//! executes under that layout and un-permutes on gather, so callers see
-//! logical-order amplitudes with (often dramatically) fewer exchanges.
+//! logical qubits in local positions; run the circuit with every gate
+//! remapped through that layout ([`nwq_circuit::Gate::remapped`]), and
+//! [`unpermute`] the gathered state back to logical order — the same
+//! amplitudes with (often dramatically) fewer exchanges.
 
-use crate::comm::CommStats;
-use crate::exec::run_distributed;
+use crate::partition::local_qubits;
 use nwq_circuit::Circuit;
 use nwq_common::{Error, Result, C64};
 use nwq_statevec::StateVector;
@@ -31,20 +31,8 @@ pub fn gate_frequency(circuit: &Circuit) -> Vec<usize> {
 /// local positions (`0..n_local`), busiest first; ties break toward the
 /// original order so the map is deterministic.
 pub fn plan_layout(circuit: &Circuit, n_ranks: usize) -> Result<Vec<usize>> {
-    if !n_ranks.is_power_of_two() {
-        return Err(Error::Invalid(format!(
-            "{n_ranks} ranks: must be a power of two"
-        )));
-    }
-    let n_global = n_ranks.trailing_zeros() as usize;
-    // Same bound the executor and planner enforce: every rank must keep at
-    // least 2 local qubits.
-    if n_global + 2 > circuit.n_qubits() {
-        return Err(Error::Invalid(format!(
-            "{n_ranks} ranks leave fewer than 2 local qubits of a {}-qubit register",
-            circuit.n_qubits()
-        )));
-    }
+    // Same layout rule the executor and planners enforce.
+    local_qubits(circuit.n_qubits(), n_ranks)?;
     let freq = gate_frequency(circuit);
     let mut order: Vec<usize> = (0..circuit.n_qubits()).collect();
     order.sort_by_key(|&q| (std::cmp::Reverse(freq[q]), q));
@@ -81,31 +69,30 @@ pub fn unpermute(state: &StateVector, layout: &[usize]) -> Result<StateVector> {
     StateVector::from_amplitudes(out)
 }
 
-/// Runs `circuit` distributed over `n_ranks` under a frequency-planned
-/// layout; returns `(logical-order state, comm stats, layout)`.
-pub fn run_distributed_with_layout(
-    circuit: &Circuit,
-    params: &[f64],
-    n_ranks: usize,
-) -> Result<(StateVector, CommStats, Vec<usize>)> {
-    let layout = plan_layout(circuit, n_ranks)?;
-    let remapped = {
-        let mut c = Circuit::with_params(circuit.n_qubits(), circuit.n_params());
-        for g in circuit.gates() {
-            c.push(g.remapped(|q| layout[q]))?;
-        }
-        c
-    };
-    let dist = run_distributed(&remapped, params, n_ranks)?;
-    let stats = dist.comm_stats();
-    let logical = unpermute(&dist.gather(), &layout)?;
-    Ok((logical, stats, layout))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_sharded, CommStats, ShardOptions};
     use nwq_circuit::Circuit;
+
+    /// Runs `circuit` under its planned layout; returns the logical-order
+    /// state and the measured communication.
+    fn run_with_layout(circuit: &Circuit, n_ranks: usize) -> (StateVector, CommStats) {
+        let layout = plan_layout(circuit, n_ranks).unwrap();
+        let mut remapped = Circuit::with_params(circuit.n_qubits(), circuit.n_params());
+        for g in circuit.gates() {
+            remapped.push(g.remapped(|q| layout[q])).unwrap();
+        }
+        let dist = run_sharded(&remapped, &[], n_ranks, &ShardOptions::default()).unwrap();
+        let logical = unpermute(&dist.gather(), &layout).unwrap();
+        (logical, dist.comm_stats())
+    }
+
+    fn comm_without_layout(circuit: &Circuit, n_ranks: usize) -> CommStats {
+        run_sharded(circuit, &[], n_ranks, &ShardOptions::default())
+            .unwrap()
+            .comm_stats()
+    }
 
     /// Adversarial circuit: all activity on the *top* qubits, which a
     /// naive layout makes global.
@@ -142,7 +129,7 @@ mod tests {
         let c = top_heavy(6);
         let single = nwq_statevec::simulate(&c, &[]).unwrap();
         for n_ranks in [2usize, 4] {
-            let (state, _, _) = run_distributed_with_layout(&c, &[], n_ranks).unwrap();
+            let (state, _) = run_with_layout(&c, n_ranks);
             assert!(
                 (state.fidelity(&single).unwrap() - 1.0).abs() < 1e-10,
                 "ranks={n_ranks}"
@@ -157,8 +144,8 @@ mod tests {
     #[test]
     fn remapping_eliminates_comm_on_top_heavy_circuit() {
         let c = top_heavy(6);
-        let naive = crate::exec::run_and_gather(&c, &[], 4).unwrap().1;
-        let (_, remapped, _) = run_distributed_with_layout(&c, &[], 4).unwrap();
+        let naive = comm_without_layout(&c, 4);
+        let (_, remapped) = run_with_layout(&c, 4);
         assert!(naive.messages > 0, "test circuit must communicate naively");
         assert_eq!(
             remapped.messages, 0,
@@ -170,8 +157,8 @@ mod tests {
     fn remapping_never_hurts_on_mixed_circuit() {
         let mut c = Circuit::new(6);
         c.h(0).cx(0, 5).rz(5, 0.4).cx(5, 0).h(5).cx(2, 3).swap(1, 4);
-        let naive = crate::exec::run_and_gather(&c, &[], 4).unwrap().1;
-        let (state, remapped, _) = run_distributed_with_layout(&c, &[], 4).unwrap();
+        let naive = comm_without_layout(&c, 4);
+        let (state, remapped) = run_with_layout(&c, 4);
         assert!(remapped.messages <= naive.messages);
         let single = nwq_statevec::simulate(&c, &[]).unwrap();
         assert!((state.fidelity(&single).unwrap() - 1.0).abs() < 1e-10);

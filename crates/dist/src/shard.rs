@@ -1,19 +1,24 @@
-//! Real sharded execution: one OS worker thread per rank, true message
+//! Sharded execution: one OS worker thread per rank, true message
 //! exchange on global-qubit gates.
 //!
-//! This is the executing backend behind [`crate::exec::run_distributed`].
-//! Where [`crate::partition::DistStateVector`]'s own `apply_*` methods
-//! *simulate* multi-rank execution by walking a single `Vec<Vec<C64>>`,
-//! this module actually distributes the register: each rank's shard is
-//! owned by its own thread, and a gate on a global qubit moves the
-//! partner shard through a channel (the in-process analog of an MPI
-//! sendrecv — same payload sizes, same message counts, same pairing).
+//! This is the crate's only executor. Each rank's shard is owned by its
+//! own thread, and a gate on a global qubit moves the partner's payload
+//! through a channel (the in-process analog of an MPI sendrecv — same
+//! pairing, payload sizes and message counts an MPI build would use).
 //!
-//! The execution is compiled first: the coordinator resolves every gate
-//! matrix once, classifies it local/global against the PGAS layout, and
-//! precomputes any injected faults so all workers replay one deterministic
-//! step list. Workers then run lock-free — the only cross-thread traffic
-//! is the amplitude payloads themselves.
+//! One compiler, `compile`, turns a circuit into the `Tape` every
+//! worker replays: it binds every gate matrix once, classifies it
+//! local/global against the PGAS layout, decides each global gate's
+//! exchange (elided, half payload, fused, or full), and bakes in optional
+//! snapshot barriers and precomputed faults. Workers then run lock-free —
+//! the only cross-thread traffic is the amplitude payloads themselves.
+//! [`crate::comm::plan_communication`] sums the same tape without running
+//! it, so "measured equals planned" is a structural identity.
+//!
+//! Three entry points share that tape and one exchange protocol:
+//! [`run_sharded`] (one worker generation), [`run_sharded_faulty`] (the
+//! legacy seeded [`FaultInjector`]) and [`run_sharded_resilient`]
+//! (snapshots plus bitwise replay recovery).
 //!
 //! Bitwise parity with the single-node simulator is a hard invariant
 //! (pinned by tests and proptests across 1/2/4/8 shards): the per-shard
@@ -22,26 +27,20 @@
 
 use crate::comm::CommStats;
 use crate::faults::{FaultInjector, FaultSchedule};
-use crate::partition::DistStateVector;
+use crate::partition::{local_qubits, DistStateVector};
 use crate::snapshot::SnapshotStore;
 use nwq_circuit::{Circuit, Gate, GateMatrix};
 use nwq_common::{Error, Mat2, Mat4, Result, C64, C_ONE, C_ZERO};
 use nwq_statevec::kernels;
-use nwq_statevec::{ExecPlan, PlanOp};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Options for [`run_sharded`].
+/// Exchange deadlines for every sharded run.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardOptions {
-    /// Fuse runs of ≥ 2 consecutive rank-local gates through the compiled
-    /// [`ExecPlan`] machinery (template cache + rebind). Fusion multiplies
-    /// matrices, so the result is no longer *bitwise* identical to the
-    /// per-gate path — the parity harness runs unfused; benches opt in.
-    pub fuse_local: bool,
     /// Per-attempt receive deadline (milliseconds) on every pair-exchange.
     /// A partner that neither delivers nor disconnects within the deadline
     /// is retried with exponential backoff; after the retry budget the
@@ -51,42 +50,13 @@ pub struct ShardOptions {
     /// `exchange_timeout_ms << k`, so the defaults tolerate ~1 min of
     /// stall before declaring the partner lost.
     pub exchange_retries: u32,
-    /// θ-aware lean exchange (the default): global gates with diagonal
-    /// bound matrices apply as a local phase sweep (no exchange), block-
-    /// structured gates send only the shard half the partner's pair
-    /// kernel reads, and consecutive same-qubit exchanges separated only
-    /// by global phases share one exchange through a fusion mirror.
-    /// Disabling it restores the naive pattern — a full-shard exchange
-    /// on every global gate — whose traffic equals
-    /// [`crate::comm::plan_communication_naive`]; the *arithmetic* stays
-    /// shape-aware in both modes, which is what keeps either mode bitwise
-    /// identical to the single-node simulator.
-    pub lean_exchange: bool,
 }
 
 impl Default for ShardOptions {
     fn default() -> Self {
         ShardOptions {
-            fuse_local: false,
             exchange_timeout_ms: 2000,
             exchange_retries: 4,
-            lean_exchange: true,
-        }
-    }
-}
-
-/// Receive-deadline policy every worker applies to every pair-exchange.
-#[derive(Clone, Copy, Debug)]
-struct ExchangeDeadline {
-    timeout: Duration,
-    retries: u32,
-}
-
-impl From<&ShardOptions> for ExchangeDeadline {
-    fn from(opts: &ShardOptions) -> Self {
-        ExchangeDeadline {
-            timeout: Duration::from_millis(opts.exchange_timeout_ms.max(1)),
-            retries: opts.exchange_retries,
         }
     }
 }
@@ -99,9 +69,6 @@ enum Step {
     /// Rank-local two-qubit gate, original argument order (the kernel
     /// normalizes exactly like the single-node path).
     Local2(usize, usize, Mat4),
-    /// Fused run of rank-local gates (only with
-    /// [`ShardOptions::fuse_local`]).
-    LocalFused(Arc<ExecPlan>),
     /// Single-qubit gate on global (rank-id) bit `gbit`: pair exchange.
     Global1 { gbit: usize, m: Mat2 },
     /// Two-qubit gate, global bit `gbit` is the matrix high bit, `lo` is
@@ -118,8 +85,18 @@ enum Step {
     /// legacy injector aborted the run at the point the loss fired).
     Lose { rank: usize },
     /// Snapshot barrier: every rank deposits a bitwise copy of its shard
-    /// as `version` of the consistent cut (resilient tapes only).
+    /// as `version` of the consistent cut.
     Snapshot { version: usize },
+}
+
+impl Step {
+    /// Whether this step is a gate touching a global qubit.
+    fn is_global(&self) -> bool {
+        matches!(
+            self,
+            Step::Global1 { .. } | Step::GlobalLocal { .. } | Step::GlobalGlobal { .. }
+        )
+    }
 }
 
 /// Communication class of one tape step — a pure, deterministic function
@@ -163,8 +140,8 @@ pub(crate) struct StepComm {
     /// Shape of the step's prenormalized matrix (`Dense` placeholder for
     /// non-two-qubit steps).
     pub(crate) shape: kernels::Mat4Shape,
-    /// Naive sends per rank for this step (1 pair / 3 quad / 0 local) —
-    /// what the pre-lean executor would have sent.
+    /// Sends per rank the naive full-exchange pattern would make for this
+    /// step (1 pair / 3 quad / 0 local) — the `bytes_saved` baseline.
     pub(crate) naive_sends: u8,
     /// This step reuses the fusion mirror established by an earlier
     /// exchange in its window instead of exchanging again.
@@ -189,7 +166,6 @@ fn classify_step(step: &Step) -> StepComm {
     match step {
         Step::Local1(..)
         | Step::Local2(..)
-        | Step::LocalFused(..)
         | Step::Corrupt { .. }
         | Step::Drift { .. }
         | Step::Lose { .. }
@@ -281,42 +257,25 @@ fn compute_fusion(steps: &[Step], comm: &mut [StepComm]) {
     }
 }
 
-/// Classifies every step and marks fusion windows.
-fn analyze_comm(steps: &[Step]) -> Vec<StepComm> {
-    let mut comm: Vec<StepComm> = steps.iter().map(classify_step).collect();
-    compute_fusion(steps, &mut comm);
-    comm
-}
-
-/// Compiled execution: the shared step list, its communication plan, and
-/// the gate accounting the planner predicts (`plan_communication` must
-/// agree with what the workers measure; both are derived from the same
-/// per-step classification).
-struct Compiled {
-    steps: Arc<Vec<Step>>,
-    comm: Arc<Vec<StepComm>>,
-    local_gates: u64,
-    global_gates: u64,
-}
-
-fn validate_ranks(n_qubits: usize, n_ranks: usize) -> Result<usize> {
-    if !n_ranks.is_power_of_two() {
-        return Err(Error::Invalid(format!(
-            "{n_ranks} ranks: must be a power of two"
-        )));
-    }
-    let n_global = n_ranks.trailing_zeros() as usize;
-    if n_global + 2 > n_qubits {
-        return Err(Error::Invalid(format!(
-            "{n_ranks} ranks leave fewer than 2 local qubits of a {n_qubits}-qubit register"
-        )));
-    }
-    Ok(n_qubits - n_global)
+/// The compiled run every worker replays: the step list, its per-step
+/// communication plan (tape-aligned with `steps`), the armed fault plan,
+/// and the gate accounting the planner reports.
+pub(crate) struct Tape {
+    steps: Vec<Step>,
+    pub(crate) comm: Vec<StepComm>,
+    faults: FaultPlan,
+    n_qubits: usize,
+    pub(crate) n_local: usize,
+    n_ranks: usize,
+    pub(crate) local_gates: u64,
+    pub(crate) global_gates: u64,
+    /// Snapshot barriers compiled into `steps`.
+    snapshots: usize,
 }
 
 /// Classifies and resolves one gate against the PGAS layout.
-fn gate_step(gate: &Gate, params: &[f64], n_local: usize) -> Result<(Step, bool)> {
-    let step = match gate.matrix(params)? {
+fn gate_step(gate: &Gate, params: &[f64], n_local: usize) -> Result<Step> {
+    Ok(match gate.matrix(params)? {
         GateMatrix::One(q, m) => {
             if q < n_local {
                 Step::Local1(q, m)
@@ -354,118 +313,77 @@ fn gate_step(gate: &Gate, params: &[f64], n_local: usize) -> Result<(Step, bool)
                 }
             }
         },
-    };
-    let global = matches!(
-        step,
-        Step::Global1 { .. } | Step::GlobalLocal { .. } | Step::GlobalGlobal { .. }
-    );
-    Ok((step, global))
+    })
 }
 
-/// Flushes a run of buffered local gates: runs of ≥ 2 compile to a fused
-/// plan over the local register, shorter runs stay per-gate.
-fn flush_local_run(
-    run: &mut Vec<Gate>,
-    steps: &mut Vec<Step>,
-    params: &[f64],
-    n_local: usize,
-    n_params: usize,
-) -> Result<()> {
-    if run.len() >= 2 {
-        let mut seg = Circuit::with_params(n_local, n_params);
-        for g in run.drain(..) {
-            seg.push(g)?;
-        }
-        let plan = ExecPlan::compile(&seg, params)?;
-        steps.push(Step::LocalFused(Arc::new(plan)));
-    } else {
-        for g in run.drain(..) {
-            steps.push(gate_step(&g, params, n_local)?.0);
-        }
-    }
-    Ok(())
-}
-
-/// Resolves the circuit into the deterministic step list. When an
-/// `injector` is given, faults are drawn *here* — in exactly the order the
-/// per-gate legacy path drew them, so seeded runs reproduce — and baked
-/// into the list as explicit steps. Fault compilation never fuses (faults
-/// interleave per gate).
-fn compile_steps(
+/// Compiles `circuit` (bound with `params`) into the per-gate tape for
+/// `n_ranks` shards.
+///
+/// - `snapshot_every > 0` inserts a snapshot barrier before every
+///   `snapshot_every`-th gate (0 compiles none).
+/// - `schedule`'s faults are translated from gate to tape coordinates
+///   and armed fire-once.
+/// - `injector` draws its faults *here*, in a fixed per-gate order
+///   (loss check before the gate; corruption, then drift, after a
+///   global gate), so seeded runs reproduce: a rank loss freezes the
+///   tape at that point, and corruption and drift become explicit steps.
+pub(crate) fn compile(
     circuit: &Circuit,
     params: &[f64],
     n_ranks: usize,
-    fuse_local: bool,
+    snapshot_every: usize,
+    schedule: &FaultSchedule,
     mut injector: Option<&mut FaultInjector>,
-) -> Result<Compiled> {
-    let n_local = validate_ranks(circuit.n_qubits(), n_ranks)?;
-    debug_assert!(injector.is_none() || !fuse_local);
-    let part_len = 1usize << n_local;
-    let mut steps = Vec::with_capacity(circuit.len());
-    let mut local_run: Vec<Gate> = Vec::new();
-    let mut local_gates = 0u64;
-    let mut global_gates = 0u64;
-    for gate in circuit.gates() {
+) -> Result<Tape> {
+    let n_qubits = circuit.n_qubits();
+    let n_local = local_qubits(n_qubits, n_ranks)?;
+    let mut steps = Vec::with_capacity(circuit.len() + 1);
+    let mut faults = FaultPlan::default();
+    let (mut local_gates, mut global_gates, mut snapshots) = (0u64, 0u64, 0usize);
+    for (gate_idx, gate) in circuit.gates().iter().enumerate() {
+        if snapshot_every > 0 && gate_idx > 0 && gate_idx % snapshot_every == 0 {
+            steps.push(Step::Snapshot { version: snapshots });
+            snapshots += 1;
+        }
+        faults.arm(schedule, gate_idx, steps.len());
         if let Some(inj) = injector.as_deref_mut() {
             if let Some(rank) = inj.should_lose_rank(n_ranks) {
-                // The legacy path aborted before this gate; freezing the
-                // step list here reproduces that exactly.
                 steps.push(Step::Lose { rank });
-                let comm = Arc::new(analyze_comm(&steps));
-                return Ok(Compiled {
-                    steps: Arc::new(steps),
-                    comm,
-                    local_gates,
-                    global_gates,
-                });
+                break;
             }
         }
-        let (step, is_global) = gate_step(gate, params, n_local)?;
-        if is_global {
-            global_gates += 1;
-            flush_local_run(
-                &mut local_run,
-                &mut steps,
-                params,
-                n_local,
-                circuit.n_params(),
-            )?;
-            steps.push(step);
-        } else {
+        let step = gate_step(gate, params, n_local)?;
+        let global = step.is_global();
+        steps.push(step);
+        if !global {
             local_gates += 1;
-            if fuse_local {
-                local_run.push(gate.clone());
-            } else {
-                steps.push(step);
-            }
+            continue;
         }
-        if is_global {
-            if let Some(inj) = injector.as_deref_mut() {
-                if inj.should_corrupt_message() {
-                    let rank = inj.pick_index(n_ranks);
-                    let index = inj.pick_index(part_len);
-                    steps.push(Step::Corrupt { rank, index });
-                }
-                if inj.should_drift_norm() {
-                    let rank = inj.pick_index(n_ranks);
-                    steps.push(Step::Drift { rank });
-                }
+        global_gates += 1;
+        if let Some(inj) = injector.as_deref_mut() {
+            if inj.should_corrupt_message() {
+                let rank = inj.pick_index(n_ranks);
+                let index = inj.pick_index(1 << n_local);
+                steps.push(Step::Corrupt { rank, index });
+            }
+            if inj.should_drift_norm() {
+                let rank = inj.pick_index(n_ranks);
+                steps.push(Step::Drift { rank });
             }
         }
     }
-    flush_local_run(
-        &mut local_run,
-        &mut steps,
-        params,
-        n_local,
-        circuit.n_params(),
-    )?;
-    let comm = Arc::new(analyze_comm(&steps));
-    Ok(Compiled {
-        steps: Arc::new(steps),
+    let mut comm: Vec<StepComm> = steps.iter().map(classify_step).collect();
+    compute_fusion(&steps, &mut comm);
+    Ok(Tape {
+        steps,
         comm,
+        faults,
+        n_qubits,
+        n_local,
+        n_ranks,
         local_gates,
         global_gates,
+        snapshots,
     })
 }
 
@@ -473,7 +391,7 @@ fn compile_steps(
 /// source of truth both [`crate::comm::plan_communication`] and the
 /// summed per-rank worker counters reduce to. `n` is the rank count and
 /// `pb` the full-shard payload size in bytes.
-fn accumulate_step(stats: &mut CommStats, sc: &StepComm, n: u64, pb: u64) {
+pub(crate) fn accumulate_step(stats: &mut CommStats, sc: &StepComm, n: u64, pb: u64) {
     match sc.class {
         CommClass::Local => {}
         CommClass::Phase => {
@@ -516,43 +434,6 @@ fn accumulate_step(stats: &mut CommStats, sc: &StepComm, n: u64, pb: u64) {
             stats.bytes += 3 * n * pb;
         }
     }
-}
-
-/// θ-aware communication plan: resolves every gate against the PGAS
-/// layout exactly like [`compile_steps`] (same classification, same
-/// fusion-window pass) and sums what the lean executor will send. Backs
-/// [`crate::comm::plan_communication_with`].
-pub(crate) fn plan_lean(circuit: &Circuit, params: &[f64], n_ranks: usize) -> Result<CommStats> {
-    let n_local = validate_ranks(circuit.n_qubits(), n_ranks)?;
-    // Symbolic circuits plan against a representative generic binding:
-    // every standard gate's *shape* is angle-independent away from
-    // measure-zero special angles (RZ/CZ/CP/RZZ diagonal for all θ, CX
-    // block for all, RX/RY/U3 dense for generic θ), so the plan matches
-    // any non-degenerate binding. Bound circuits use their real matrices.
-    let generic: Vec<f64>;
-    let params = if params.is_empty() && circuit.n_params() > 0 {
-        generic = vec![0.618_033_988_749_894_9; circuit.n_params()];
-        &generic
-    } else {
-        params
-    };
-    let mut steps = Vec::with_capacity(circuit.len());
-    for gate in circuit.gates() {
-        steps.push(gate_step(gate, params, n_local)?.0);
-    }
-    let comm = analyze_comm(&steps);
-    let n = n_ranks as u64;
-    let pb = 16u64 << n_local;
-    let mut stats = CommStats::default();
-    for sc in &comm {
-        if sc.class == CommClass::Local {
-            stats.local_gates += 1;
-        } else {
-            stats.global_gates += 1;
-            accumulate_step(&mut stats, sc, n, pb);
-        }
-    }
-    Ok(stats)
 }
 
 /// Exchange payload: the sending rank's shard (or packed half-shard),
@@ -610,12 +491,12 @@ impl Mesh {
         from: usize,
         step: usize,
         expect_len: usize,
-        deadline: ExchangeDeadline,
+        opts: &ShardOptions,
     ) -> Result<Vec<C64>> {
         let rx = self.receivers[from]
             .as_ref()
             .ok_or_else(|| lost(rank, from))?;
-        let mut wait = deadline.timeout;
+        let mut wait = Duration::from_millis(opts.exchange_timeout_ms.max(1));
         let mut waits = 0u32;
         let (tag, payload) = loop {
             match rx.recv_timeout(wait) {
@@ -624,7 +505,7 @@ impl Mesh {
                 Err(RecvTimeoutError::Timeout) => {
                     nwq_telemetry::counter_add("resilience.shard_exchange_timeouts", 1);
                     waits += 1;
-                    if waits > deadline.retries {
+                    if waits > opts.exchange_retries {
                         return Err(Error::Backend(format!(
                             "rank {rank}: exchange with rank {from} missed its deadline \
                              at step {step} ({waits} waits, last {wait:?})"
@@ -647,10 +528,9 @@ impl Mesh {
 
 /// Reusable exchange-payload buffers. Sends draw their backing storage
 /// here and receives return theirs, so a steady-state exchange loop
-/// allocates nothing after warm-up — the pre-pool path cloned the full
-/// shard on every send. Two slots cover the worst case (a quad step
-/// returns three payloads but the pool only needs enough for the next
-/// step's sends; pair steps cycle one buffer).
+/// allocates nothing after warm-up. Two slots cover the worst case (a
+/// quad step returns three payloads but the pool only needs enough for
+/// the next step's sends; pair steps cycle one buffer).
 #[derive(Default)]
 struct BufPool(Vec<Vec<C64>>);
 
@@ -702,8 +582,8 @@ impl PlannedFault {
     }
 }
 
-/// The compiled fault schedule, translated from gate to tape coordinates
-/// and shared (behind `Arc`) by every generation's workers.
+/// A [`FaultSchedule`] translated from gate to tape coordinates, shared
+/// (inside the [`Tape`]) by every generation's workers.
 #[derive(Default)]
 struct FaultPlan {
     /// `(fault, mid_exchange)` — mid-exchange deaths complete the step's
@@ -715,6 +595,22 @@ struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// Arms `schedule`'s faults for gate `gate_idx`, which the tape
+    /// places at index `tape_idx`.
+    fn arm(&mut self, schedule: &FaultSchedule, gate_idx: usize, tape_idx: usize) {
+        for d in schedule.deaths.iter().filter(|d| d.gate_step == gate_idx) {
+            self.deaths
+                .push((PlannedFault::new(tape_idx, d.rank), d.mid_exchange));
+        }
+        for d in schedule.drops.iter().filter(|d| d.gate_step == gate_idx) {
+            self.drops.push(PlannedFault::new(tape_idx, d.rank));
+        }
+        for d in schedule.delays.iter().filter(|d| d.gate_step == gate_idx) {
+            self.delays
+                .push((PlannedFault::new(tape_idx, d.rank), d.delay_ms));
+        }
+    }
+
     fn death_at(&self, step: usize, rank: usize) -> Option<bool> {
         self.deaths
             .iter()
@@ -741,34 +637,14 @@ fn killed(rank: usize, step: usize, mid_exchange: bool) -> Error {
     ))
 }
 
-/// Applies a compiled local plan to a shard, mirroring
-/// `Executor::run_plan_on`'s op loop.
-fn apply_plan(shard: &mut [C64], plan: &ExecPlan) {
-    for op in plan.ops() {
-        match op {
-            PlanOp::One(q, m) => kernels::apply_mat2(shard, *q, m),
-            PlanOp::Two(hi, lo, m) => kernels::apply_mat4_prenorm(shard, *hi, *lo, m),
-            PlanOp::DiagSweep { start, len, .. } => {
-                kernels::apply_diag_sweep(shard, &plan.factors()[*start..*start + *len]);
-            }
-        }
-    }
-}
-
 /// Everything one worker thread needs beyond the tape and the mesh.
 /// Recovery generations differ only in `start_step` + the initial shard.
 struct WorkerCtx {
     rank: usize,
-    n_local: usize,
     /// Absolute tape index this generation starts from (0 for a fresh run,
     /// the restored cut's resume step after a recovery).
     start_step: usize,
-    /// Lean exchange ([`ShardOptions::lean_exchange`]): elide, halve, and
-    /// fuse exchanges per the compiled [`StepComm`] plan. Off = the naive
-    /// full-payload pattern (with shape-aware arithmetic either way).
-    lean: bool,
-    deadline: ExchangeDeadline,
-    faults: Option<Arc<FaultPlan>>,
+    opts: ShardOptions,
     snapshots: Option<Arc<SnapshotStore>>,
 }
 
@@ -779,7 +655,7 @@ struct WorkerCtx {
 struct ExchangeIo<'a> {
     mesh: &'a Mesh,
     rank: usize,
-    deadline: ExchangeDeadline,
+    opts: ShardOptions,
     pool: BufPool,
     messages: u64,
     bytes: u64,
@@ -790,7 +666,7 @@ struct ExchangeIo<'a> {
 
 impl ExchangeIo<'_> {
     /// Sends the full shard to `to` (dropped silently under a message-drop
-    /// fault, exactly like the pre-pool path).
+    /// fault).
     fn send_full(&mut self, to: usize, step: usize, shard: &[C64], skip: bool) -> Result<()> {
         if skip {
             return Ok(());
@@ -827,7 +703,7 @@ impl ExchangeIo<'_> {
     }
 
     fn recv(&mut self, from: usize, step: usize, expect: usize) -> Result<Vec<C64>> {
-        self.mesh.recv(self.rank, from, step, expect, self.deadline)
+        self.mesh.recv(self.rank, from, step, expect, &self.opts)
     }
 
     /// Obtains the partner payload for a pair-class step. A fused step
@@ -835,7 +711,7 @@ impl ExchangeIo<'_> {
     /// generation resuming mid-window finds no mirror and falls back to a
     /// fresh exchange, which stays symmetric because every rank restarted
     /// from the same cut and misses the same mirror. Fresh exchanges send
-    /// the full shard, or the packed `lo == v` half for a lean
+    /// the full shard, or the packed `lo == v` half for a
     /// [`CommClass::PairHalf`] step. Fault hooks keep the legacy order:
     /// sends complete, then a mid-exchange death fires before receives.
     #[allow(clippy::too_many_arguments)]
@@ -843,7 +719,6 @@ impl ExchangeIo<'_> {
         &mut self,
         mirror: &mut Option<Mirror>,
         sc: &StepComm,
-        lean: bool,
         shard: &[C64],
         partner: usize,
         step: usize,
@@ -851,7 +726,7 @@ impl ExchangeIo<'_> {
         die_mid_exchange: bool,
     ) -> Result<Vec<C64>> {
         let part_bytes = (shard.len() * 16) as u64;
-        if lean && sc.fused {
+        if sc.fused {
             if let Some(mir) = mirror.take() {
                 debug_assert_eq!(mir.class, sc.class);
                 self.fused += 1;
@@ -864,7 +739,7 @@ impl ExchangeIo<'_> {
             // Mirror lost across a recovery boundary: fresh exchange.
         }
         debug_assert!(mirror.is_none());
-        if let (true, CommClass::PairHalf { lo, v, .. }) = (lean, sc.class) {
+        if let CommClass::PairHalf { lo, v, .. } = sc.class {
             self.send_half(partner, step, shard, lo, v, skip_sends)?;
             self.saved += part_bytes / 2;
             if die_mid_exchange {
@@ -921,25 +796,17 @@ fn phase_on_mirror(mirror: &mut Mirror, rank: usize, step: &Step) {
     }
 }
 
-/// The body of one rank's worker thread: replay the step list against the
+/// The body of one rank's worker thread: replay the tape against the
 /// owned shard, exchanging through the channel mesh on global steps per
-/// the compiled per-step communication plan (`comm` is tape-aligned with
-/// `steps`). Every channel failure and every exhausted exchange deadline
-/// maps to [`Error::Backend`] — a dead or wedged partner aborts this rank
-/// cleanly instead of deadlocking or panicking.
-fn worker(
-    ctx: WorkerCtx,
-    steps: &[Step],
-    comm: &[StepComm],
-    mesh: Mesh,
-    init: Option<Vec<C64>>,
-) -> Result<WorkerReport> {
+/// the compiled per-step communication plan. Every channel failure and
+/// every exhausted exchange deadline maps to [`Error::Backend`] — a dead
+/// or wedged partner aborts this rank cleanly instead of deadlocking or
+/// panicking.
+fn worker(ctx: WorkerCtx, tape: &Tape, mesh: Mesh, init: Option<Vec<C64>>) -> Result<WorkerReport> {
     use kernels::{Mat4Shape, SubKind};
-    debug_assert_eq!(steps.len(), comm.len());
     let started = Instant::now();
     let rank = ctx.rank;
-    let lean = ctx.lean;
-    let part_len = 1usize << ctx.n_local;
+    let part_len = 1usize << tape.n_local;
     let part_bytes = (part_len * 16) as u64;
     let mut shard = match init {
         Some(restored) => {
@@ -957,7 +824,7 @@ fn worker(
     let mut io = ExchangeIo {
         mesh: &mesh,
         rank,
-        deadline: ctx.deadline,
+        opts: ctx.opts,
         pool: BufPool::default(),
         messages: 0,
         bytes: 0,
@@ -968,35 +835,32 @@ fn worker(
     // At most one fusion window is open at any tape point (compile-time
     // invariant of `compute_fusion`), so a single mirror slot suffices.
     let mut mirror: Option<Mirror> = None;
-    for (i, step) in steps[ctx.start_step..].iter().enumerate() {
-        let s = ctx.start_step + i;
-        let sc = &comm[s];
+    for (s, (step, sc)) in tape
+        .steps
+        .iter()
+        .zip(&tape.comm)
+        .enumerate()
+        .skip(ctx.start_step)
+    {
         // Planned faults fire exactly once across all generations; the
         // step tag `s` is absolute, so replay walks the same schedule.
-        let mut skip_sends = false;
-        let mut die_mid_exchange = false;
-        if let Some(plan) = &ctx.faults {
-            if let Some(ms) = plan.delay_at(s, rank) {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            if let Some(mid) = plan.death_at(s, rank) {
-                let global = matches!(
-                    step,
-                    Step::Global1 { .. } | Step::GlobalLocal { .. } | Step::GlobalGlobal { .. }
-                );
-                if mid && global {
-                    die_mid_exchange = true;
-                } else {
-                    return Err(killed(rank, s, false));
-                }
-            }
-            skip_sends = plan.drop_at(s, rank);
+        if let Some(ms) = tape.faults.delay_at(s, rank) {
+            std::thread::sleep(Duration::from_millis(ms));
         }
-        // Lean zero-message classes first: diagonal elision and block-
-        // local application replace the exchange entirely. Both use the
-        // exact per-amplitude expressions the single-node fast paths use,
-        // so elision is invisible bitwise.
-        if lean && sc.class == CommClass::Phase {
+        let mut die_mid_exchange = false;
+        if let Some(mid) = tape.faults.death_at(s, rank) {
+            if mid && step.is_global() {
+                die_mid_exchange = true;
+            } else {
+                return Err(killed(rank, s, false));
+            }
+        }
+        let skip_sends = tape.faults.drop_at(s, rank);
+        // Zero-message classes first: diagonal elision and block-local
+        // application replace the exchange entirely. Both use the exact
+        // per-amplitude expressions the single-node fast paths use, so
+        // elision is invisible bitwise.
+        if sc.class == CommClass::Phase {
             match step {
                 Step::Global1 { gbit, m } => {
                     kernels::apply_global_phase1(&mut shard, (rank >> gbit) & 1, m);
@@ -1020,7 +884,7 @@ fn worker(
             }
             continue;
         }
-        if lean && sc.class == CommClass::LocalApply {
+        if sc.class == CommClass::LocalApply {
             let Step::GlobalLocal { gbit, lo, .. } = step else {
                 unreachable!("LocalApply is a global-local class");
             };
@@ -1051,24 +915,19 @@ fn worker(
                 debug_assert!(mirror.is_none(), "local step inside a fusion window");
                 kernels::apply_mat4(&mut shard, *a, *b, m);
             }
-            Step::LocalFused(plan) => {
-                debug_assert!(mirror.is_none(), "local step inside a fusion window");
-                apply_plan(&mut shard, plan);
-            }
             Step::Global1 { gbit, m } => {
                 let partner = rank ^ (1 << gbit);
                 let own_bit = (rank >> gbit) & 1;
                 let mut payload = io.pair_payload(
                     &mut mirror,
                     sc,
-                    lean,
                     &shard,
                     partner,
                     s,
                     skip_sends,
                     die_mid_exchange,
                 )?;
-                if lean && sc.track {
+                if sc.track {
                     kernels::exchange_mirror_mat2(&mut shard, &mut payload, own_bit, m);
                     mirror = Some(Mirror {
                         class: sc.class,
@@ -1082,7 +941,7 @@ fn worker(
             Step::GlobalLocal { gbit, lo, m } => {
                 let partner = rank ^ (1 << gbit);
                 let own_hi = (rank >> gbit) & 1;
-                if let (true, CommClass::PairHalf { v, .. }) = (lean, sc.class) {
+                if let CommClass::PairHalf { v, .. } = sc.class {
                     // The non-exchanged `lo == 1-v` stripe applies its own
                     // identity/diagonal sub-block locally; the stripes are
                     // disjoint, so ordering against the pack is free.
@@ -1101,7 +960,6 @@ fn worker(
                     let mut payload = io.pair_payload(
                         &mut mirror,
                         sc,
-                        lean,
                         &shard,
                         partner,
                         s,
@@ -1128,56 +986,48 @@ fn worker(
                         io.pool.put(payload);
                     }
                 } else {
+                    // PairFull: a dense or both-dense-block matrix.
                     let mut payload = io.pair_payload(
                         &mut mirror,
                         sc,
-                        lean,
                         &shard,
                         partner,
                         s,
                         skip_sends,
                         die_mid_exchange,
                     )?;
-                    if lean && sc.track {
-                        // Lean PairFull window (dense or both-dense-block
-                        // matrix): establish/advance the full mirror.
-                        match sc.shape {
-                            Mat4Shape::BlockLo { .. } => kernels::exchange_mirror_blocklo(
+                    let block = matches!(sc.shape, Mat4Shape::BlockLo { .. });
+                    if sc.track {
+                        if block {
+                            kernels::exchange_mirror_blocklo(
                                 &mut shard,
                                 &mut payload,
                                 own_hi,
                                 *lo,
                                 &sc.shape,
-                            ),
-                            _ => kernels::exchange_mirror_global_local(
+                            );
+                        } else {
+                            kernels::exchange_mirror_global_local(
                                 &mut shard,
                                 &mut payload,
                                 own_hi,
                                 *lo,
                                 m,
-                            ),
+                            );
                         }
                         mirror = Some(Mirror {
                             class: sc.class,
                             buf: payload,
                         });
                     } else {
-                        match sc.shape {
-                            Mat4Shape::BlockHi { a, ka, b, kb } => {
-                                // Full mode only (lean classifies BlockHi
-                                // as LocalApply): the payload is protocol
-                                // ballast; the arithmetic is rank-local.
-                                let (k, km) = if own_hi == 1 { (kb, b) } else { (ka, a) };
-                                if k != SubKind::Identity {
-                                    kernels::apply_mat2(&mut shard, *lo, &km);
-                                }
-                            }
-                            Mat4Shape::BlockLo { .. } => kernels::apply_exchanged_blocklo(
+                        if block {
+                            kernels::apply_exchanged_blocklo(
                                 &mut shard, &payload, own_hi, *lo, &sc.shape,
-                            ),
-                            _ => kernels::apply_exchanged_mat4_global_local(
+                            );
+                        } else {
+                            kernels::apply_exchanged_mat4_global_local(
                                 &mut shard, &payload, own_hi, *lo, m,
-                            ),
+                            );
                         }
                         io.pool.put(payload);
                     }
@@ -1190,7 +1040,7 @@ fn worker(
                     mirror.is_none(),
                     "global-global step inside a fusion window"
                 );
-                if let (true, CommClass::GlobalBlock { sel, xbit, .. }) = (lean, sc.class) {
+                if let CommClass::GlobalBlock { sel, xbit, .. } = sc.class {
                     let (Mat4Shape::BlockHi { a, ka, b, kb } | Mat4Shape::BlockLo { a, ka, b, kb }) =
                         sc.shape
                     else {
@@ -1242,6 +1092,7 @@ fn worker(
                         }
                     }
                 } else {
+                    // Quad: a dense global-global gate.
                     let pos = (((rank >> bhi) & 1) << 1) | ((rank >> blo) & 1);
                     // Quad mates in ascending bit-position order.
                     let mates: Vec<usize> = (0..4)
@@ -1263,53 +1114,12 @@ fn worker(
                     for &mate in &mates {
                         others.push(io.recv(mate, s, part_len)?);
                     }
-                    if let CommClass::GlobalBlock { sel, xbit, .. } = sc.class {
-                        // Full mode on a block gate: naive traffic, but
-                        // the arithmetic must match the single-node block
-                        // fast path bitwise — only the `xbit` mate's
-                        // payload is read.
-                        let (Mat4Shape::BlockHi { a, ka, b, kb }
-                        | Mat4Shape::BlockLo { a, ka, b, kb }) = sc.shape
-                        else {
-                            unreachable!("GlobalBlock comes from a block shape");
-                        };
-                        let (k, km) = if (rank >> sel) & 1 == 1 {
-                            (kb, b)
-                        } else {
-                            (ka, a)
-                        };
-                        match k {
-                            SubKind::Identity => {}
-                            SubKind::Diag => {
-                                let xv = (rank >> xbit) & 1;
-                                kernels::scale_amps(
-                                    &mut shard,
-                                    if xv == 1 { km.0[1][1] } else { km.0[0][0] },
-                                );
-                            }
-                            SubKind::Dense => {
-                                let mate_pos = pos ^ if xbit == *bhi { 2 } else { 1 };
-                                let idx = if mate_pos < pos {
-                                    mate_pos
-                                } else {
-                                    mate_pos - 1
-                                };
-                                kernels::apply_exchanged_mat2(
-                                    &mut shard,
-                                    &others[idx],
-                                    (rank >> xbit) & 1,
-                                    &km,
-                                );
-                            }
-                        }
-                    } else {
-                        kernels::apply_exchanged_mat4_global_global(
-                            &mut shard,
-                            [&others[0], &others[1], &others[2]],
-                            pos,
-                            m,
-                        );
-                    }
+                    kernels::apply_exchanged_mat4_global_global(
+                        &mut shard,
+                        [&others[0], &others[1], &others[2]],
+                        pos,
+                        m,
+                    );
                     for o in others {
                         io.pool.put(o);
                     }
@@ -1352,61 +1162,19 @@ fn worker(
     })
 }
 
-/// Runs `circuit` on `n_ranks` real shards, one OS thread per rank, and
-/// reassembles the distributed state. Unfused execution (the default) is
-/// bitwise identical to [`nwq_statevec::simulate`].
-pub fn run_sharded(
-    circuit: &Circuit,
-    params: &[f64],
-    n_ranks: usize,
-    opts: &ShardOptions,
-) -> Result<DistStateVector> {
-    let compiled = compile_steps(circuit, params, n_ranks, opts.fuse_local, None)?;
-    run_compiled(
-        circuit.n_qubits(),
-        n_ranks,
-        compiled,
-        opts.into(),
-        opts.lean_exchange,
-    )
-}
-
-/// [`run_sharded`] with faults drawn from `injector` at compile time (in
-/// the legacy per-gate order, so seeded schedules reproduce) and replayed
-/// by the owning workers. Always unfused.
-pub fn run_sharded_faulty(
-    circuit: &Circuit,
-    params: &[f64],
-    n_ranks: usize,
-    injector: &mut FaultInjector,
-) -> Result<DistStateVector> {
-    let compiled = compile_steps(circuit, params, n_ranks, false, Some(injector))?;
-    let opts = ShardOptions::default();
-    run_compiled(
-        circuit.n_qubits(),
-        n_ranks,
-        compiled,
-        (&opts).into(),
-        opts.lean_exchange,
-    )
-}
-
 /// Spawns one generation of worker threads over a fresh channel mesh and
 /// joins them. A fresh mesh per generation means no stale message from a
-/// torn-down generation can leak into the replay.
-#[allow(clippy::too_many_arguments)]
+/// torn-down generation can leak into the replay. A deliberate rank loss
+/// or death is returned as-is in preference to its partners' exchange
+/// failures, which are only its fallout.
 fn run_generation(
-    n_ranks: usize,
-    n_local: usize,
-    steps: &Arc<Vec<Step>>,
-    comm: &Arc<Vec<StepComm>>,
-    lean: bool,
+    tape: &Arc<Tape>,
+    opts: &ShardOptions,
     start_step: usize,
     init: Option<Vec<Vec<C64>>>,
-    deadline: ExchangeDeadline,
-    faults: Option<&Arc<FaultPlan>>,
     snapshots: Option<&Arc<SnapshotStore>>,
 ) -> Result<Vec<WorkerReport>> {
+    let n_ranks = tape.n_ranks;
     // Build the (from, to) channel mesh and hand each worker its row.
     let mut senders: Vec<Vec<Option<Sender<Msg>>>> = (0..n_ranks)
         .map(|_| (0..n_ranks).map(|_| None).collect())
@@ -1429,25 +1197,21 @@ fn run_generation(
     };
     let mut handles = Vec::with_capacity(n_ranks);
     for (rank, (sends, recvs)) in senders.drain(..).zip(receivers.drain(..)).enumerate() {
-        let steps = Arc::clone(steps);
-        let comm = Arc::clone(comm);
+        let tape = Arc::clone(tape);
         let mesh = Mesh {
             senders: sends,
             receivers: recvs,
         };
         let ctx = WorkerCtx {
             rank,
-            n_local,
             start_step,
-            lean,
-            deadline,
-            faults: faults.map(Arc::clone),
+            opts: *opts,
             snapshots: snapshots.map(Arc::clone),
         };
         let init_shard = init_shards[rank].take();
         let handle = std::thread::Builder::new()
             .name(format!("nwq-dist-rank{rank}"))
-            .spawn(move || worker(ctx, &steps, &comm, mesh, init_shard))
+            .spawn(move || worker(ctx, &tape, mesh, init_shard))
             .map_err(|e| Error::Backend(format!("failed to spawn rank {rank} worker: {e}")))?;
         handles.push(handle);
     }
@@ -1458,8 +1222,6 @@ fn run_generation(
         match handle.join() {
             Ok(Ok(report)) => reports.push(report),
             Ok(Err(e)) => {
-                // A deliberate rank loss/death is the root cause;
-                // partner-side exchange failures are its fallout.
                 let msg = e.to_string();
                 if (msg.contains("lost during distributed") || msg.contains("killed by fault"))
                     && root_error.is_none()
@@ -1486,15 +1248,10 @@ fn run_generation(
 
 /// Folds one generation's worker reports into the assembled distributed
 /// state, with the usual `dist.*` telemetry.
-fn assemble(
-    n_qubits: usize,
-    n_local: usize,
-    compiled: &Compiled,
-    reports: Vec<WorkerReport>,
-) -> DistStateVector {
+fn assemble(tape: &Tape, reports: Vec<WorkerReport>) -> DistStateVector {
     let mut stats = CommStats {
-        global_gates: compiled.global_gates,
-        local_gates: compiled.local_gates,
+        global_gates: tape.global_gates,
+        local_gates: tape.local_gates,
         ..CommStats::default()
     };
     let mut partitions = Vec::with_capacity(reports.len());
@@ -1515,30 +1272,60 @@ fn assemble(
     nwq_telemetry::counter_add("dist.exchanges_elided", stats.exchanges_elided);
     nwq_telemetry::counter_add("dist.exchange_fused", stats.exchanges_fused);
     nwq_telemetry::counter_add("dist.bytes_saved", stats.bytes_saved);
-    DistStateVector::from_parts(n_qubits, n_local, partitions, stats)
+    DistStateVector::from_parts(tape.n_qubits, tape.n_local, partitions, stats)
 }
 
-fn run_compiled(
-    n_qubits: usize,
+/// Runs one worker generation over `tape` from the zero state.
+fn run_once(tape: Tape, opts: &ShardOptions) -> Result<DistStateVector> {
+    let tape = Arc::new(tape);
+    let reports = run_generation(&tape, opts, 0, None, None)?;
+    Ok(assemble(&tape, reports))
+}
+
+/// Runs `circuit` on `n_ranks` real shards, one OS thread per rank, and
+/// reassembles the distributed state — bitwise identical to
+/// [`nwq_statevec::simulate`], with [`DistStateVector::comm_stats`] equal
+/// to [`crate::comm::plan_communication_with`]. A failing worker's root
+/// error is returned unchanged.
+pub fn run_sharded(
+    circuit: &Circuit,
+    params: &[f64],
     n_ranks: usize,
-    compiled: Compiled,
-    deadline: ExchangeDeadline,
-    lean: bool,
+    opts: &ShardOptions,
 ) -> Result<DistStateVector> {
-    let n_local = n_qubits - n_ranks.trailing_zeros() as usize;
-    let reports = run_generation(
+    let tape = compile(circuit, params, n_ranks, 0, &FaultSchedule::none(), None)?;
+    run_once(tape, opts)
+}
+
+/// [`run_sharded`] with faults drawn from `injector`:
+///
+/// - **rank loss** may strike before any gate (a node can die at any
+///   point): the losing worker drops out and the run aborts with
+///   `Error::Backend` naming the lost rank;
+/// - **message corruption** and **norm drift** strike only after gates on
+///   global qubits — they model damage carried by the partition exchange,
+///   so rank-local gates cannot trigger them.
+///
+/// Faults are drawn at compile time in the legacy per-gate order (seeded
+/// schedules reproduce), then replayed by the owning worker threads. The
+/// injected damage is left in the returned state for downstream health
+/// guards ([`nwq_statevec::NormGuard`], the expval finiteness checks) to
+/// detect; this function only plants it.
+pub fn run_sharded_faulty(
+    circuit: &Circuit,
+    params: &[f64],
+    n_ranks: usize,
+    injector: &mut FaultInjector,
+) -> Result<DistStateVector> {
+    let tape = compile(
+        circuit,
+        params,
         n_ranks,
-        n_local,
-        &compiled.steps,
-        &compiled.comm,
-        lean,
         0,
-        None,
-        deadline,
-        None,
-        None,
+        &FaultSchedule::none(),
+        Some(injector),
     )?;
-    Ok(assemble(n_qubits, n_local, &compiled, reports))
+    run_once(tape, &ShardOptions::default())
 }
 
 /// Knobs for [`run_sharded_resilient`].
@@ -1583,61 +1370,6 @@ pub struct RecoveryReport {
     pub recovery_ms: Vec<f64>,
 }
 
-/// Resolves the circuit into a resilient tape: per-gate steps (never
-/// fused — replay must be bitwise) with snapshot barriers every
-/// `snapshot_every` gates, plus the fault schedule translated from gate
-/// to tape coordinates and armed fire-once.
-fn compile_resilient(
-    circuit: &Circuit,
-    params: &[f64],
-    n_ranks: usize,
-    snapshot_every: usize,
-    schedule: &FaultSchedule,
-) -> Result<(Compiled, Arc<FaultPlan>, usize)> {
-    let n_local = validate_ranks(circuit.n_qubits(), n_ranks)?;
-    let mut steps = Vec::with_capacity(circuit.len() + 1);
-    let mut plan = FaultPlan::default();
-    let mut local_gates = 0u64;
-    let mut global_gates = 0u64;
-    let mut versions = 0usize;
-    for (gate_idx, gate) in circuit.gates().iter().enumerate() {
-        if snapshot_every > 0 && gate_idx > 0 && gate_idx % snapshot_every == 0 {
-            steps.push(Step::Snapshot { version: versions });
-            versions += 1;
-        }
-        let tape_idx = steps.len();
-        for d in schedule.deaths.iter().filter(|d| d.gate_step == gate_idx) {
-            plan.deaths
-                .push((PlannedFault::new(tape_idx, d.rank), d.mid_exchange));
-        }
-        for d in schedule.drops.iter().filter(|d| d.gate_step == gate_idx) {
-            plan.drops.push(PlannedFault::new(tape_idx, d.rank));
-        }
-        for d in schedule.delays.iter().filter(|d| d.gate_step == gate_idx) {
-            plan.delays
-                .push((PlannedFault::new(tape_idx, d.rank), d.delay_ms));
-        }
-        let (step, is_global) = gate_step(gate, params, n_local)?;
-        if is_global {
-            global_gates += 1;
-        } else {
-            local_gates += 1;
-        }
-        steps.push(step);
-    }
-    let comm = Arc::new(analyze_comm(&steps));
-    Ok((
-        Compiled {
-            steps: Arc::new(steps),
-            comm,
-            local_gates,
-            global_gates,
-        },
-        Arc::new(plan),
-        versions,
-    ))
-}
-
 /// Runs `circuit` on `n_ranks` shards *survivably*: snapshot barriers
 /// checkpoint a consistent cut every [`RecoveryOptions::snapshot_every`]
 /// gates, and any worker failure — a planned death from `schedule`, a
@@ -1659,46 +1391,29 @@ pub fn run_sharded_resilient(
     recovery: &RecoveryOptions,
     schedule: &FaultSchedule,
 ) -> Result<(DistStateVector, RecoveryReport)> {
-    if opts.fuse_local {
-        return Err(Error::Invalid(
-            "resilient sharded execution replays per-gate for bitwise recovery; \
-             disable fuse_local"
-                .into(),
-        ));
-    }
-    let n_qubits = circuit.n_qubits();
-    let n_local = validate_ranks(n_qubits, n_ranks)?;
-    let (compiled, faults, snapshots_planned) =
-        compile_resilient(circuit, params, n_ranks, recovery.snapshot_every, schedule)?;
+    let tape = Arc::new(compile(
+        circuit,
+        params,
+        n_ranks,
+        recovery.snapshot_every,
+        schedule,
+        None,
+    )?);
     let store = Arc::new(SnapshotStore::new(
         n_ranks,
         recovery.keep_versions,
         recovery.snapshot_dir.clone(),
     ));
-    let deadline = ExchangeDeadline::from(opts);
     let mut report = RecoveryReport {
-        snapshots_planned,
+        snapshots_planned: tape.snapshots,
         ..RecoveryReport::default()
     };
     let mut start_step = 0usize;
     let mut init: Option<Vec<Vec<C64>>> = None;
     loop {
         report.generations += 1;
-        match run_generation(
-            n_ranks,
-            n_local,
-            &compiled.steps,
-            &compiled.comm,
-            opts.lean_exchange,
-            start_step,
-            init.take(),
-            deadline,
-            Some(&faults),
-            Some(&store),
-        ) {
-            Ok(reports) => {
-                return Ok((assemble(n_qubits, n_local, &compiled, reports), report));
-            }
+        match run_generation(&tape, opts, start_step, init.take(), Some(&store)) {
+            Ok(reports) => return Ok((assemble(&tape, reports), report)),
             Err(e) => {
                 report.recoveries += 1;
                 if report.recoveries > recovery.max_recoveries {
@@ -1724,7 +1439,7 @@ pub fn run_sharded_resilient(
                 nwq_telemetry::counter_add("resilience.shard_recoveries", 1);
                 nwq_telemetry::counter_add(
                     "resilience.shard_replayed_steps",
-                    (compiled.steps.len() - start_step) as u64,
+                    (tape.steps.len() - start_step) as u64,
                 );
                 nwq_telemetry::histogram_record("resilience.shard_recovery_ms", ms);
             }
@@ -1820,28 +1535,6 @@ mod tests {
     }
 
     #[test]
-    fn full_exchange_mode_is_bitwise_and_matches_naive_plan() {
-        let full = ShardOptions {
-            lean_exchange: false,
-            ..ShardOptions::default()
-        };
-        for c in [sample_circuit(6), apex_circuit(6)] {
-            let single = nwq_statevec::simulate(&c, &[]).unwrap();
-            for n_ranks in [1usize, 2, 4, 8] {
-                let d = run_sharded(&c, &[], n_ranks, &full).unwrap();
-                let ctx = format!("full ranks={n_ranks}");
-                assert_bitwise(&d, &single, &ctx);
-                let stats = d.comm_stats();
-                let naive = crate::comm::plan_communication_naive(&c, n_ranks).unwrap();
-                assert_eq!(stats, naive, "{ctx}");
-                assert_eq!(stats.exchanges_elided, 0, "{ctx}");
-                assert_eq!(stats.exchanges_fused, 0, "{ctx}");
-                assert_eq!(stats.bytes_saved, 0, "{ctx}");
-            }
-        }
-    }
-
-    #[test]
     fn diagonal_global_circuit_exchanges_nothing() {
         let mut c = Circuit::new(6);
         c.h(0).h(1).h(2).cx(0, 1).cx(1, 2);
@@ -1877,40 +1570,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_local_run_matches_single_node_approximately() {
-        // Fusion multiplies matrices, so approx (not bitwise) parity.
-        let c = sample_circuit(6);
-        let single = nwq_statevec::simulate(&c, &[]).unwrap();
-        for n_ranks in [2usize, 4] {
-            let opts = ShardOptions {
-                fuse_local: true,
-                ..ShardOptions::default()
-            };
-            let d = run_sharded(&c, &[], n_ranks, &opts).unwrap();
-            let gathered = d.gather();
-            for (a, b) in gathered.amplitudes().iter().zip(single.amplitudes()) {
-                assert!(a.approx_eq(*b, 1e-10), "ranks={n_ranks}");
-            }
-            // Fusion must not change the communication: exchanges happen on
-            // exactly the same global gates.
-            assert_eq!(d.comm_stats(), plan_communication(&c, n_ranks).unwrap());
-        }
-    }
-
+    /// One worker generation surfaces the lost rank's own error — not
+    /// its partners' "shard lost" fallout — and does not wrap it.
     #[test]
     fn injected_rank_loss_aborts_with_the_legacy_error() {
         let c = sample_circuit(5);
-        let mut inj = FaultInjector::new(crate::faults::FaultSpec {
-            rank_loss: 1.0,
-            seed: 5,
-            ..Default::default()
-        });
-        let e = run_sharded_faulty(&c, &[], 4, &mut inj).unwrap_err();
-        assert!(matches!(e, Error::Backend(_)), "{e}");
-        assert!(e.is_transient());
-        assert!(e.to_string().contains("lost during distributed execution"));
-        assert_eq!(inj.stats().rank_losses, 1);
+        for n_ranks in [2usize, 4, 8] {
+            let mut inj = FaultInjector::new(crate::faults::FaultSpec {
+                rank_loss: 1.0,
+                seed: 5,
+                ..Default::default()
+            });
+            // The first draw is the rank-loss check before gate 0.
+            let lost = inj.clone().should_lose_rank(n_ranks).unwrap();
+            let e = run_sharded_faulty(&c, &[], n_ranks, &mut inj).unwrap_err();
+            assert!(matches!(e, Error::Backend(_)), "{e}");
+            assert!(e.is_transient());
+            assert!(e.to_string().contains("lost during distributed execution"));
+            let expected = format!("rank {lost} lost during distributed execution");
+            assert!(
+                matches!(&e, Error::Backend(msg) if *msg == expected),
+                "ranks={n_ranks}: {e}"
+            );
+            assert_eq!(inj.stats().rank_losses, 1);
+        }
     }
 
     #[test]
@@ -1924,6 +1607,125 @@ mod tests {
     }
 
     #[test]
+    fn distributed_matches_single_node_all_rank_counts() {
+        // BITWISE parity: the real sharded path replicates the single-node
+        // kernels' arithmetic exactly, not just to tolerance.
+        let c = sample_circuit(6);
+        let single = nwq_statevec::simulate(&c, &[]).unwrap();
+        for n_ranks in [1usize, 2, 4, 8] {
+            let gathered = run_sharded(&c, &[], n_ranks, &ShardOptions::default())
+                .unwrap()
+                .gather();
+            for (a, b) in gathered.amplitudes().iter().zip(single.amplitudes()) {
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "ranks={n_ranks}");
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "ranks={n_ranks}");
+            }
+        }
+    }
+
+    #[test]
+    fn executed_comm_matches_plan() {
+        let c = sample_circuit(6);
+        for n_ranks in [1usize, 2, 4, 8] {
+            let stats = run_sharded(&c, &[], n_ranks, &ShardOptions::default())
+                .unwrap()
+                .comm_stats();
+            let planned = plan_communication(&c, n_ranks).unwrap();
+            assert_eq!(stats.messages, planned.messages, "ranks={n_ranks}");
+            assert_eq!(stats.bytes, planned.bytes, "ranks={n_ranks}");
+            assert_eq!(stats.global_gates, planned.global_gates);
+            assert_eq!(stats.local_gates, planned.local_gates);
+        }
+    }
+
+    #[test]
+    fn zero_rate_faulty_run_matches_clean_run() {
+        let c = sample_circuit(5);
+        let clean = run_sharded(&c, &[], 4, &ShardOptions::default())
+            .unwrap()
+            .gather();
+        let mut inj = FaultInjector::new(crate::faults::FaultSpec::default());
+        let faulty = run_sharded_faulty(&c, &[], 4, &mut inj).unwrap().gather();
+        for (a, b) in faulty.amplitudes().iter().zip(clean.amplitudes()) {
+            assert_eq!(a.re.to_bits(), b.re.to_bits());
+            assert_eq!(a.im.to_bits(), b.im.to_bits());
+        }
+        assert_eq!(inj.stats().total(), 0);
+    }
+
+    #[test]
+    fn rank_loss_aborts_with_backend_error() {
+        let c = sample_circuit(5);
+        let mut inj = FaultInjector::new(crate::faults::FaultSpec {
+            rank_loss: 1.0,
+            seed: 5,
+            ..Default::default()
+        });
+        let e = run_sharded_faulty(&c, &[], 4, &mut inj).unwrap_err();
+        assert!(matches!(e, Error::Backend(_)), "{e}");
+        assert!(e.is_transient());
+        assert_eq!(inj.stats().rank_losses, 1);
+    }
+
+    #[test]
+    fn ghz_across_ranks() {
+        let c = {
+            let mut c = Circuit::new(5);
+            c.h(0);
+            for q in 1..5 {
+                c.cx(0, q);
+            }
+            c
+        };
+        let d = run_sharded(&c, &[], 4, &ShardOptions::default()).unwrap();
+        let (s, stats) = (d.gather(), d.comm_stats());
+        assert!((s.probability(0) - 0.5).abs() < 1e-10);
+        assert!((s.probability(0b11111) - 0.5).abs() < 1e-10);
+        assert!(stats.global_gates >= 2); // CX onto qubits 3 and 4
+    }
+
+    #[test]
+    fn message_corruption_plants_non_finite_amplitudes() {
+        let c = sample_circuit(5);
+        let mut inj = FaultInjector::new(crate::faults::FaultSpec {
+            message_corruption: 1.0,
+            seed: 11,
+            ..Default::default()
+        });
+        let s = run_sharded_faulty(&c, &[], 4, &mut inj).unwrap().gather();
+        assert!(inj.stats().message_corruptions > 0);
+        assert!(!s.norm_sqr().is_finite());
+    }
+
+    #[test]
+    fn norm_drift_breaks_normalization_detectably() {
+        let c = sample_circuit(5);
+        let mut inj = FaultInjector::new(crate::faults::FaultSpec {
+            norm_drift: 1.0,
+            seed: 2,
+            ..Default::default()
+        });
+        let s = run_sharded_faulty(&c, &[], 4, &mut inj).unwrap().gather();
+        assert!(inj.stats().norm_drifts > 0);
+        let norm = s.norm_sqr();
+        assert!(norm.is_finite());
+        assert!((norm - 1.0).abs() > 1e-9, "norm {norm} should have drifted");
+    }
+
+    #[test]
+    fn parameterized_distributed_run() {
+        let mut c = Circuit::new(4);
+        c.ry(3, nwq_circuit::ParamExpr::var(0)).cx(3, 0);
+        let single = nwq_statevec::simulate(&c, &[1.1]).unwrap();
+        let gathered = run_sharded(&c, &[1.1], 2, &ShardOptions::default())
+            .unwrap()
+            .gather();
+        for (a, b) in gathered.amplitudes().iter().zip(single.amplitudes()) {
+            assert!(a.approx_eq(*b, 1e-10));
+        }
+    }
+
+    #[test]
     fn empty_circuit_yields_zero_state() {
         let c = Circuit::new(4);
         let d = run_sharded(&c, &[], 4, &ShardOptions::default()).unwrap();
@@ -1934,10 +1736,8 @@ mod tests {
     /// Short deadlines so fault tests tear down quickly.
     fn test_opts() -> ShardOptions {
         ShardOptions {
-            fuse_local: false,
             exchange_timeout_ms: 100,
             exchange_retries: 2,
-            ..ShardOptions::default()
         }
     }
 
@@ -2135,18 +1935,6 @@ mod tests {
         recovery.max_recoveries = 1;
         let e = run_sharded_resilient(&c, &[], 4, &test_opts(), &recovery, &schedule).unwrap_err();
         assert!(e.to_string().contains("gave up after 1 recoveries"), "{e}");
-    }
-
-    #[test]
-    fn resilient_rejects_fused_execution() {
-        let c = sample_circuit(6);
-        let opts = ShardOptions {
-            fuse_local: true,
-            ..ShardOptions::default()
-        };
-        let e = run_sharded_resilient(&c, &[], 4, &opts, &test_recovery(2), &FaultSchedule::none())
-            .unwrap_err();
-        assert!(matches!(e, Error::Invalid(_)), "{e}");
     }
 
     #[test]

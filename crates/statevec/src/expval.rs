@@ -487,16 +487,11 @@ mod tests {
     fn batched_direct_groups_by_flip_mask() {
         // ZZ, ZI, IZ, II all have flip-mask 0; XX has its own. The batched
         // path must do 2 sweeps where per-term does 5.
-        nwq_telemetry::reset();
-        nwq_telemetry::set_enabled(true);
         let h = PauliOp::parse("0.7 ZZ + 0.2 ZI + 0.1 IZ + 0.05 II + 1.0 XX").unwrap();
         let s = crate::executor::simulate(&toy_ansatz(), &[0.8, 0.1]).unwrap();
-        let before_batched = nwq_telemetry::counter_value("expval.batched_sweeps");
-        let before_terms = nwq_telemetry::counter_value("expval.term_sweeps");
-        let e = energy_direct_batched(&s, &h).unwrap();
-        let batched = nwq_telemetry::counter_value("expval.batched_sweeps") - before_batched;
-        let terms = nwq_telemetry::counter_value("expval.term_sweeps") - before_terms;
-        nwq_telemetry::set_enabled(false);
+        let (e, snap) = nwq_telemetry::capture(|| energy_direct_batched(&s, &h).unwrap());
+        let batched = snap.counter("expval.batched_sweeps");
+        let terms = snap.counter("expval.term_sweeps");
         assert_eq!(terms, 5);
         assert_eq!(batched, 2);
         let per_term = s.energy(&h).unwrap();

@@ -5,6 +5,9 @@
 //! every recording call starts with one relaxed atomic load and a branch, so
 //! instrumented hot paths (per-gate counters in the statevector kernels) are
 //! effectively free unless a sink is installed with [`set_enabled`].
+//! A [`capture`] scope gives one thread a private recorder instead, so
+//! concurrent callers (tests in one binary) each see exactly their own
+//! records.
 //!
 //! Layout of the exported document (see [`Snapshot::to_json`]):
 //!
@@ -32,8 +35,9 @@ pub use histogram::Histogram;
 pub use json::{JsonValue, Object, ParseError};
 
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// A counter cell: monotonically accumulated integer or float.
@@ -77,20 +81,16 @@ pub struct IterationRecord {
     pub label: Option<String>,
 }
 
-#[derive(Default)]
-struct Registry {
-    run: BTreeMap<String, String>,
-    spans: BTreeMap<String, SpanStats>,
-    counters: BTreeMap<String, CounterValue>,
-    iterations: Vec<IterationRecord>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Bit 0: recording is on process-wide. The rest counts, in steps of
+/// [`ONE_CAPTURE`], the [`capture`] scopes open on any thread. One word, so
+/// the off path stays a single load.
+static STATE: AtomicUsize = AtomicUsize::new(0);
+const ENABLED_BIT: usize = 1;
+const ONE_CAPTURE: usize = 2;
 static SPAN_HISTOGRAMS: AtomicBool = AtomicBool::new(false);
 
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+fn registry() -> &'static Mutex<Snapshot> {
+    static REGISTRY: Mutex<Snapshot> = Mutex::new(Snapshot {
         run: BTreeMap::new(),
         spans: BTreeMap::new(),
         counters: BTreeMap::new(),
@@ -101,20 +101,78 @@ fn registry() -> &'static Mutex<Registry> {
 }
 
 thread_local! {
-    static SPAN_PATH: std::cell::RefCell<Vec<&'static str>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    static SPAN_PATH: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// The innermost [`capture`] scope open on this thread.
+    static CAPTURE: RefCell<Option<Snapshot>> = const { RefCell::new(None) };
+}
+
+/// Applies `f` to the recorder this thread writes to: its innermost
+/// [`capture`] scope, else the process-wide registry. Callers check
+/// [`enabled`] first.
+fn with_recorder(f: impl FnOnce(&mut Snapshot)) {
+    let mut f = Some(f);
+    if STATE.load(Ordering::Relaxed) >= ONE_CAPTURE {
+        CAPTURE.with_borrow_mut(|scope| {
+            if let Some(scope) = scope {
+                (f.take().unwrap())(scope);
+            }
+        });
+    }
+    if let Some(f) = f {
+        f(&mut registry().lock());
+    }
 }
 
 /// Turns recording on or off process-wide. Off (the default) reduces every
 /// recording call to a relaxed load and a branch.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    if on {
+        STATE.fetch_or(ENABLED_BIT, Ordering::Relaxed);
+    } else {
+        STATE.fetch_and(!ENABLED_BIT, Ordering::Relaxed);
+    }
 }
 
-/// Whether the registry currently accepts records.
+/// Whether a recording call on this thread is kept: recording is on
+/// process-wide, or this thread is inside a [`capture`] scope.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    let state = STATE.load(Ordering::Relaxed);
+    state & ENABLED_BIT != 0 || (state >= ONE_CAPTURE && CAPTURE.with_borrow(Option::is_some))
+}
+
+/// Restores the enclosing scope when a [`capture`] ends, also on unwind.
+struct CaptureGuard {
+    outer: Option<Option<Snapshot>>,
+}
+
+impl Drop for CaptureGuard {
+    fn drop(&mut self) {
+        if let Some(outer) = self.outer.take() {
+            CAPTURE.set(outer);
+        }
+        STATE.fetch_sub(ONE_CAPTURE, Ordering::Relaxed);
+    }
+}
+
+/// Runs `f` with a private recorder on the calling thread and returns its
+/// result together with everything it recorded on this thread.
+///
+/// Inside the scope this thread records whether or not [`set_enabled`] is
+/// on, and its records go only to the scope: other threads, the
+/// process-wide registry and [`reset`] neither see nor disturb them, so
+/// concurrent tests can each assert on exact counts. Threads that `f`
+/// spawns are not captured. Scopes nest; the innermost one records.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
+    STATE.fetch_add(ONE_CAPTURE, Ordering::Relaxed);
+    let mut guard = CaptureGuard {
+        outer: Some(CAPTURE.replace(Some(Snapshot::default()))),
+    };
+    let r = f();
+    let outer = guard.outer.take().unwrap();
+    let captured = CAPTURE.replace(outer).unwrap_or_default();
+    drop(guard);
+    (r, captured)
 }
 
 /// Attaches a key/value pair to the run header of the export.
@@ -122,7 +180,10 @@ pub fn set_run_info(key: impl Into<String>, value: impl Into<String>) {
     if !enabled() {
         return;
     }
-    registry().lock().run.insert(key.into(), value.into());
+    let (key, value) = (key.into(), value.into());
+    with_recorder(|reg| {
+        reg.run.insert(key, value);
+    });
 }
 
 /// Adds `delta` to the integer counter `name`.
@@ -131,15 +192,16 @@ pub fn counter_add(name: &'static str, delta: u64) {
     if !enabled() {
         return;
     }
-    let mut reg = registry().lock();
-    match reg
-        .counters
-        .entry(name.to_string())
-        .or_insert(CounterValue::Int(0))
-    {
-        CounterValue::Int(v) => *v += delta,
-        CounterValue::Float(v) => *v += delta as f64,
-    }
+    with_recorder(|reg| {
+        match reg
+            .counters
+            .entry(name.to_string())
+            .or_insert(CounterValue::Int(0))
+        {
+            CounterValue::Int(v) => *v += delta,
+            CounterValue::Float(v) => *v += delta as f64,
+        }
+    });
 }
 
 /// Adds `delta` to the float accumulator `name`.
@@ -148,15 +210,16 @@ pub fn value_add(name: &'static str, delta: f64) {
     if !enabled() {
         return;
     }
-    let mut reg = registry().lock();
-    match reg
-        .counters
-        .entry(name.to_string())
-        .or_insert(CounterValue::Float(0.0))
-    {
-        CounterValue::Int(v) => *v += delta as u64,
-        CounterValue::Float(v) => *v += delta,
-    }
+    with_recorder(|reg| {
+        match reg
+            .counters
+            .entry(name.to_string())
+            .or_insert(CounterValue::Float(0.0))
+        {
+            CounterValue::Int(v) => *v += delta as u64,
+            CounterValue::Float(v) => *v += delta,
+        }
+    });
 }
 
 /// Overwrites the float gauge `name` with `value` (last write wins). Use for
@@ -166,10 +229,10 @@ pub fn gauge_set(name: &'static str, value: f64) {
     if !enabled() {
         return;
     }
-    registry()
-        .lock()
-        .counters
-        .insert(name.to_string(), CounterValue::Float(value));
+    with_recorder(|reg| {
+        reg.counters
+            .insert(name.to_string(), CounterValue::Float(value));
+    });
 }
 
 /// Records one sample into the histogram `name` (creating it on first
@@ -179,12 +242,12 @@ pub fn histogram_record(name: &str, value: f64) {
     if !enabled() {
         return;
     }
-    registry()
-        .lock()
-        .histograms
-        .entry(name.to_string())
-        .or_default()
-        .record(value);
+    with_recorder(|reg| {
+        reg.histograms
+            .entry(name.to_string())
+            .or_default()
+            .record(value)
+    });
 }
 
 /// Reads a copy of the histogram `name`, if it has recorded anything.
@@ -204,7 +267,7 @@ pub fn record_iteration(record: IterationRecord) {
     if !enabled() {
         return;
     }
-    registry().lock().iterations.push(record);
+    with_recorder(|reg| reg.iterations.push(record));
 }
 
 /// RAII timer for one section; see [`span`].
@@ -236,22 +299,24 @@ impl Drop for SpanGuard {
             stack.pop();
             path
         });
-        let mut reg = registry().lock();
-        if SPAN_HISTOGRAMS.load(Ordering::Relaxed) {
-            reg.histograms
-                .entry(format!("span.{path}"))
-                .or_default()
-                .record(elapsed as f64 / 1e6);
-        }
-        let s = reg.spans.entry(path).or_default();
-        s.count += 1;
-        s.total_ns += elapsed;
-        s.min_ns = if s.count == 1 {
-            elapsed
-        } else {
-            s.min_ns.min(elapsed)
-        };
-        s.max_ns = s.max_ns.max(elapsed);
+        let span_histograms = SPAN_HISTOGRAMS.load(Ordering::Relaxed);
+        with_recorder(|reg| {
+            if span_histograms {
+                reg.histograms
+                    .entry(format!("span.{path}"))
+                    .or_default()
+                    .record(elapsed as f64 / 1e6);
+            }
+            let s = reg.spans.entry(path).or_default();
+            s.count += 1;
+            s.total_ns += elapsed;
+            s.min_ns = if s.count == 1 {
+                elapsed
+            } else {
+                s.min_ns.min(elapsed)
+            };
+            s.max_ns = s.max_ns.max(elapsed);
+        });
     }
 }
 
@@ -280,14 +345,7 @@ pub struct Snapshot {
 
 /// Copies the current registry contents.
 pub fn snapshot() -> Snapshot {
-    let reg = registry().lock();
-    Snapshot {
-        run: reg.run.clone(),
-        spans: reg.spans.clone(),
-        counters: reg.counters.clone(),
-        iterations: reg.iterations.clone(),
-        histograms: reg.histograms.clone(),
-    }
+    registry().lock().clone()
 }
 
 /// Clears all recorded data (the enabled flag is left as-is).
@@ -302,13 +360,18 @@ pub fn reset() {
 
 /// Convenience: reads a counter's integer value (0 when absent or float).
 pub fn counter_value(name: &str) -> u64 {
-    match registry().lock().counters.get(name) {
-        Some(CounterValue::Int(v)) => *v,
-        _ => 0,
-    }
+    registry().lock().counter(name)
 }
 
 impl Snapshot {
+    /// Reads the integer counter `name` (0 when absent or float).
+    pub fn counter(&self, name: &str) -> u64 {
+        match self.counters.get(name) {
+            Some(CounterValue::Int(v)) => *v,
+            _ => 0,
+        }
+    }
+
     /// Serializes to the stable JSON schema described at the crate root.
     pub fn to_json(&self) -> String {
         let mut root = json::Object::new();
@@ -380,13 +443,10 @@ impl Snapshot {
 mod tests {
     use super::*;
 
-    // The registry is process-global, so tests share it; each test uses its
-    // own counter/span names and tolerates other tests' records.
-    fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
-        set_enabled(true);
-        let r = f();
-        set_enabled(false);
-        r
+    // The registry is process-global, so tests record inside their own
+    // `capture` scope and assert on what it returns.
+    fn with_telemetry(f: impl FnOnce()) -> Snapshot {
+        capture(f).1
     }
 
     #[test]
@@ -402,26 +462,24 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        with_telemetry(|| {
+        let snap = with_telemetry(|| {
             counter_add("test.counters.a", 2);
             counter_add("test.counters.a", 3);
             value_add("test.counters.f", 0.5);
             value_add("test.counters.f", 0.25);
         });
-        let snap = snapshot();
         assert_eq!(snap.counters["test.counters.a"], CounterValue::Int(5));
         assert_eq!(snap.counters["test.counters.f"], CounterValue::Float(0.75));
     }
 
     #[test]
     fn spans_nest_and_aggregate() {
-        with_telemetry(|| {
+        let snap = with_telemetry(|| {
             for _ in 0..3 {
                 let _outer = span("test_outer");
                 let _inner = span("test_inner");
             }
         });
-        let snap = snapshot();
         assert_eq!(snap.spans["test_outer"].count, 3);
         let nested = &snap.spans["test_outer/test_inner"];
         assert_eq!(nested.count, 3);
@@ -431,11 +489,10 @@ mod tests {
 
     #[test]
     fn gauges_overwrite_instead_of_accumulating() {
-        with_telemetry(|| {
+        let snap = with_telemetry(|| {
             gauge_set("test.gauge.rate", 0.25);
             gauge_set("test.gauge.rate", 0.75);
         });
-        let snap = snapshot();
         assert_eq!(snap.counters["test.gauge.rate"], CounterValue::Float(0.75));
         set_enabled(false);
         gauge_set("test.gauge.disabled", 1.0);
@@ -444,7 +501,7 @@ mod tests {
 
     #[test]
     fn iteration_records_roundtrip() {
-        with_telemetry(|| {
+        let snap = with_telemetry(|| {
             record_iteration(IterationRecord {
                 iteration: 0,
                 energy: -1.25,
@@ -455,7 +512,6 @@ mod tests {
                 label: Some("op_3".into()),
             });
         });
-        let snap = snapshot();
         let it = snap.iterations.iter().find(|i| i.gates == 42).unwrap();
         assert_eq!(it.energy, -1.25);
         assert_eq!(it.label.as_deref(), Some("op_3"));
@@ -463,11 +519,11 @@ mod tests {
 
     #[test]
     fn json_has_stable_top_level_shape() {
-        with_telemetry(|| {
+        let doc = with_telemetry(|| {
             set_run_info("command", "test \"quoted\"");
             counter_add("test.json.count", 1);
-        });
-        let doc = snapshot().to_json();
+        })
+        .to_json();
         assert!(doc.starts_with('{'));
         for key in [
             "\"run\"",
@@ -483,15 +539,15 @@ mod tests {
 
     #[test]
     fn histogram_registry_records_and_exports() {
-        with_telemetry(|| {
+        let snap = with_telemetry(|| {
             for i in 1..=100 {
                 histogram_record("test.hist.latency", i as f64);
             }
         });
-        let h = histogram_snapshot("test.hist.latency").unwrap();
+        let h = &snap.histograms["test.hist.latency"];
         assert_eq!(h.count(), 100);
         assert!(h.p99().unwrap() >= h.p50().unwrap());
-        let doc = snapshot().to_json();
+        let doc = snap.to_json();
         assert!(doc.contains("\"test.hist.latency\""), "{doc}");
         // Disabled: nothing recorded.
         set_enabled(false);
@@ -501,7 +557,7 @@ mod tests {
 
     #[test]
     fn span_timers_feed_histograms_when_opted_in() {
-        with_telemetry(|| {
+        let snap = with_telemetry(|| {
             set_span_histograms(true);
             for _ in 0..5 {
                 let _g = span("test_span_hist");
@@ -509,13 +565,31 @@ mod tests {
             set_span_histograms(false);
             let _g = span("test_span_hist_off");
         });
-        let h = histogram_snapshot("span.test_span_hist").unwrap();
+        let h = &snap.histograms["span.test_span_hist"];
         assert_eq!(h.count(), 5);
         assert!(h.p95().unwrap() >= 0.0);
-        assert!(histogram_snapshot("span.test_span_hist_off").is_none());
+        assert!(!snap.histograms.contains_key("span.test_span_hist_off"));
         // The plain span aggregate still recorded both.
-        let snap = snapshot();
         assert_eq!(snap.spans["test_span_hist"].count, 5);
         assert_eq!(snap.spans["test_span_hist_off"].count, 1);
+    }
+
+    #[test]
+    fn capture_scopes_nest_and_ignore_other_threads() {
+        let (inner, outer) = capture(|| {
+            counter_add("test.capture.outer", 1);
+            let (_, inner) = capture(|| counter_add("test.capture.inner", 1));
+            std::thread::spawn(|| counter_add("test.capture.spawned", 1))
+                .join()
+                .unwrap();
+            counter_add("test.capture.outer", 1);
+            inner
+        });
+        assert_eq!(outer.counter("test.capture.outer"), 2);
+        assert_eq!(outer.counter("test.capture.inner"), 0);
+        assert_eq!(outer.counter("test.capture.spawned"), 0);
+        assert_eq!(inner.counter("test.capture.inner"), 1);
+        assert_eq!(inner.counter("test.capture.outer"), 0);
+        assert!(!enabled(), "recording stays off outside the scope");
     }
 }

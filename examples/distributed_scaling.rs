@@ -4,7 +4,7 @@
 //! cargo run --release -p nwq-core --example distributed_scaling
 //! ```
 //!
-//! Runs a UCCSD energy evaluation on the simulated PGAS statevector at
+//! Runs a UCCSD energy evaluation on the sharded PGAS statevector at
 //! increasing rank counts, verifying bit-exactness against the
 //! single-node engine and reporting the communication each configuration
 //! generates plus its modeled time on a Perlmutter-like machine.

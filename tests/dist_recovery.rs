@@ -6,8 +6,8 @@
 
 use nwq_circuit::Circuit;
 use nwq_dist::{
-    distributed_energy, run_resilient_energy, run_sharded, run_sharded_resilient, FaultSchedule,
-    RankDelay, RecoveryOptions, ShardOptions,
+    distributed_energy, run_sharded, run_sharded_resilient, FaultSchedule, RankDelay,
+    RecoveryOptions, ShardOptions,
 };
 use nwq_pauli::PauliOp;
 use proptest::prelude::*;
@@ -16,10 +16,8 @@ use proptest::prelude::*;
 /// milliseconds instead of the production default's seconds.
 fn test_opts() -> ShardOptions {
     ShardOptions {
-        fuse_local: false,
         exchange_timeout_ms: 100,
         exchange_retries: 2,
-        ..ShardOptions::default()
     }
 }
 
@@ -102,10 +100,11 @@ proptest! {
                 prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "ranks={}", n_ranks);
                 prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "ranks={}", n_ranks);
             }
-            let (energy, report) = run_resilient_energy(
-                &c, &[], n_ranks, &h, &test_opts(), &test_recovery(snapshot_every), &schedule,
+            let (state, report) = run_sharded_resilient(
+                &c, &[], n_ranks, &test_opts(), &test_recovery(snapshot_every), &schedule,
             ).unwrap();
             prop_assert_eq!(report.recoveries, 1);
+            let energy = distributed_energy(&state, &h).unwrap();
             prop_assert_eq!(energy.to_bits(), clean_energy.to_bits(), "ranks={}", n_ranks);
         }
     }

@@ -10,7 +10,7 @@ use nwq_core::resilience::{
     run_vqe_with, CheckpointConfig, FaultSpec, FaultyBackend, ResilienceOptions, ResumeState,
 };
 use nwq_core::vqe::{run_vqe, VqeProblem, VqeResult};
-use nwq_dist::{run_distributed_faulty, FaultInjector};
+use nwq_dist::{run_sharded_faulty, FaultInjector};
 use nwq_opt::{NelderMead, Optimizer, Spsa};
 use nwq_pauli::PauliOp;
 use nwq_statevec::NormGuard;
@@ -152,7 +152,7 @@ fn rank_loss_is_surfaced_as_transient_backend_error() {
         seed: 1,
         ..Default::default()
     });
-    let e = run_distributed_faulty(&c, &[], 4, &mut inj).unwrap_err();
+    let e = run_sharded_faulty(&c, &[], 4, &mut inj).unwrap_err();
     assert!(e.is_transient(), "{e}");
 }
 
@@ -165,9 +165,7 @@ fn corrupted_exchange_is_caught_by_the_norm_guard() {
         seed: 2,
         ..Default::default()
     });
-    let corrupted = run_distributed_faulty(&c, &[], 4, &mut inj)
-        .unwrap()
-        .gather();
+    let corrupted = run_sharded_faulty(&c, &[], 4, &mut inj).unwrap().gather();
     assert!(inj.stats().message_corruptions > 0);
     // Feed the corrupted state through a strictly guarded executor sweep:
     // the non-finite amplitudes must be rejected as a numerical error.
@@ -187,9 +185,7 @@ fn norm_drift_is_repaired_by_the_norm_guard() {
         seed: 3,
         ..Default::default()
     });
-    let drifted = run_distributed_faulty(&c, &[], 4, &mut inj)
-        .unwrap()
-        .gather();
+    let drifted = run_sharded_faulty(&c, &[], 4, &mut inj).unwrap().gather();
     assert!(inj.stats().norm_drifts > 0);
     assert!((drifted.norm_sqr() - 1.0).abs() > 1e-9);
     let mut ex = nwq_statevec::Executor::with_guard(NormGuard::strict());
