@@ -9,8 +9,15 @@
 //!
 //! For a flip-mask `m`, rank `r`'s partner shard is `r ⊕ (m >> n_local)` —
 //! each rank reads exactly one remote shard per group, the distributed
-//! analog of one exchanged message per rank. The per-rank partials are
-//! summed in rank order, so the reduction is deterministic.
+//! analog of one exchanged message per rank.
+//!
+//! Each rank sweeps its own shard ONCE, tile by tile, folding every flip
+//! group's blocks per tile ([`shard_group_sums`]) — not once per group.
+//! Ranks run in parallel; when the pool has more threads than ranks, each
+//! rank's groups are cut into cost-balanced chunks ([`group_chunks`]), one
+//! pass per chunk, so no thread idles. Every (group, rank) partial still
+//! folds its shard in index order, and the partials are summed in
+//! (group, rank) order, so the result does not depend on the pool size.
 //!
 //! The expectation-phase traffic is recorded in telemetry
 //! (`dist.expval_messages` / `dist.expval_bytes`) but *not* folded into
@@ -19,9 +26,11 @@
 //! is pinned by tests.
 
 use crate::partition::DistStateVector;
-use nwq_common::{Error, Result, C_ZERO};
+use nwq_common::{Error, Result, C64, C_ZERO};
 use nwq_pauli::PauliOp;
-use nwq_statevec::expval::{flip_groups, shard_group_partial};
+use nwq_statevec::expval::{
+    flip_groups, group_chunks, readout_pieces, shard_group_sums, FlipGroup,
+};
 use rayon::prelude::*;
 
 /// Evaluates `Re⟨ψ|H|ψ⟩` on a sharded register without gathering.
@@ -38,7 +47,6 @@ pub fn distributed_energy(state: &DistStateVector, op: &PauliOp) -> Result<f64> 
     let part_bytes = (state.partition_len() * 16) as u64;
     let groups = flip_groups(op);
     let mut expval_messages = 0u64;
-    let mut total = C_ZERO;
     for g in &groups {
         let global_flip = (g.mask >> n_local) as usize;
         if global_flip >= n_ranks {
@@ -55,23 +63,31 @@ pub fn distributed_energy(state: &DistStateVector, op: &PauliOp) -> Result<f64> 
             // One cross-rank shard read per rank, mirroring an exchange.
             expval_messages += n_ranks as u64;
         }
-        // Per-rank partials computed in parallel, folded in rank order so
-        // the result is deterministic run-to-run.
-        let partials: Vec<_> = (0..n_ranks)
-            .into_par_iter()
-            .map(|r| {
-                shard_group_partial(
-                    state.partition(r),
-                    state.partition(r ^ global_flip),
-                    r,
-                    n_local,
-                    g.mask,
-                    &g.terms,
-                )
-            })
-            .collect();
-        for p in partials {
-            total += p;
+    }
+    // One task per (rank, chunk of groups), each one pass over its shard.
+    let chunks = group_chunks(
+        &groups,
+        readout_pieces(state.partition_len()).div_ceil(n_ranks),
+    );
+    let tasks: Vec<(usize, &[FlipGroup])> = (0..n_ranks)
+        .flat_map(|r| chunks.iter().map(move |c| (r, c.clone())))
+        .map(|(r, c)| (r, &groups[c]))
+        .collect();
+    let chunk_sums: Vec<Vec<C64>> = tasks
+        .par_iter()
+        .map(|&(r, chunk)| {
+            let partner = |g: &FlipGroup| state.partition(r ^ (g.mask >> n_local) as usize);
+            shard_group_sums(state.partition(r), partner, r << n_local, chunk)
+        })
+        .collect();
+    let partials: Vec<Vec<C64>> = chunk_sums
+        .chunks(chunks.len().max(1))
+        .map(|rank_chunks| rank_chunks.concat())
+        .collect();
+    let mut total = C_ZERO;
+    for g in 0..groups.len() {
+        for rank_sums in &partials {
+            total += rank_sums[g];
         }
     }
     nwq_telemetry::counter_add("dist.expval_messages", expval_messages);
@@ -117,6 +133,27 @@ mod tests {
                 (e - expected).abs() < 1e-12,
                 "ranks={n_ranks}: {e} vs {expected}"
             );
+        }
+    }
+
+    #[test]
+    fn one_rank_readout_is_bitwise_the_single_node_energy() {
+        // One shard is the whole register, and its one-pass readout folds
+        // each group in the same order as the single-node readout.
+        for n in [6usize, 13, 15] {
+            let c = sample_circuit(n);
+            let h = PauliOp::parse(&format!(
+                "0.5 ZZ{} + 0.25 X{}X + 0.125 IY{}",
+                "I".repeat(n - 2),
+                "I".repeat(n - 2),
+                "Z".repeat(n - 2)
+            ))
+            .unwrap();
+            let single = nwq_statevec::simulate(&c, &[]).unwrap();
+            let expected = nwq_statevec::expval::energy_direct_batched(&single, &h).unwrap();
+            let state = run_sharded(&c, &[], 1, &ShardOptions::default()).unwrap();
+            let e = distributed_energy(&state, &h).unwrap();
+            assert_eq!(e.to_bits(), expected.to_bits(), "n={n}");
         }
     }
 

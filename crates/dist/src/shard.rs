@@ -31,7 +31,7 @@ use crate::partition::{local_qubits, DistStateVector};
 use crate::snapshot::SnapshotStore;
 use nwq_circuit::{Circuit, Gate, GateMatrix};
 use nwq_common::{Error, Mat2, Mat4, Result, C64, C_ONE, C_ZERO};
-use nwq_statevec::kernels;
+use nwq_statevec::kernels::{self, TileGate};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -60,6 +60,15 @@ impl Default for ShardOptions {
         }
     }
 }
+
+/// log2 of the tile in which a worker replays each run of rank-local gates
+/// ([`kernels::apply_tile_run`]); shards of at most one tile run gate by
+/// gate. Unit tests shrink it so their 5–6-qubit registers, and the
+/// parity and recovery tests over them, cut real tile runs.
+#[cfg(not(test))]
+pub(crate) const TILE_BITS: usize = kernels::TILE_BITS;
+#[cfg(test)]
+pub(crate) const TILE_BITS: usize = 2;
 
 /// One entry of the compiled, deterministic step list every worker replays.
 #[derive(Clone, Debug)]
@@ -628,6 +637,16 @@ impl FaultPlan {
             .find(|(f, _)| f.fire(step, rank))
             .map(|&(_, ms)| ms)
     }
+
+    /// Whether any fault is still armed for (`step`, `rank`), without
+    /// firing it.
+    fn armed_at(&self, step: usize, rank: usize) -> bool {
+        let armed =
+            |f: &PlannedFault| f.step == step && f.rank == rank && f.armed.load(Ordering::SeqCst);
+        self.deaths.iter().any(|(f, _)| armed(f))
+            || self.drops.iter().any(armed)
+            || self.delays.iter().any(|(f, _)| armed(f))
+    }
 }
 
 fn killed(rank: usize, step: usize, mid_exchange: bool) -> Error {
@@ -796,6 +815,31 @@ fn phase_on_mirror(mirror: &mut Mirror, rank: usize, step: &Step) {
     }
 }
 
+/// Fills `run` with the tile run that starts at step `s`: the maximal
+/// stretch of rank-local gates whose qubits all lie below [`TILE_BITS`],
+/// cut before any later step that still has a fault armed for `rank` (so
+/// every fault fires at its own step, as gate-by-gate replay fires it).
+/// Snapshot barriers, fault steps and global gates end a run too. Leaves
+/// `run` empty when step `s` does not qualify or the shard is at most
+/// one tile.
+fn collect_tile_run(tape: &Tape, s: usize, rank: usize, run: &mut Vec<TileGate>) {
+    run.clear();
+    if tape.n_local <= TILE_BITS {
+        return;
+    }
+    for (i, step) in tape.steps.iter().enumerate().skip(s) {
+        let gate = match step {
+            Step::Local1(q, m) if *q < TILE_BITS => TileGate::one(*q, m),
+            Step::Local2(a, b, m) if *a.max(b) < TILE_BITS => TileGate::two(*a, *b, m),
+            _ => break,
+        };
+        if i > s && tape.faults.armed_at(i, rank) {
+            break;
+        }
+        run.push(gate);
+    }
+}
+
 /// The body of one rank's worker thread: replay the tape against the
 /// owned shard, exchanging through the channel mesh on global steps per
 /// the compiled per-step communication plan. Every channel failure and
@@ -835,6 +879,9 @@ fn worker(ctx: WorkerCtx, tape: &Tape, mesh: Mesh, init: Option<Vec<C64>>) -> Re
     // At most one fusion window is open at any tape point (compile-time
     // invariant of `compute_fusion`), so a single mirror slot suffices.
     let mut mirror: Option<Mirror> = None;
+    let mut run = Vec::new();
+    // Steps below this were applied by the last tile run.
+    let mut run_end = 0;
     for (s, (step, sc)) in tape
         .steps
         .iter()
@@ -842,6 +889,9 @@ fn worker(ctx: WorkerCtx, tape: &Tape, mesh: Mesh, init: Option<Vec<C64>>) -> Re
         .enumerate()
         .skip(ctx.start_step)
     {
+        if s < run_end {
+            continue;
+        }
         // Planned faults fire exactly once across all generations; the
         // step tag `s` is absolute, so replay walks the same schedule.
         if let Some(ms) = tape.faults.delay_at(s, rank) {
@@ -856,6 +906,15 @@ fn worker(ctx: WorkerCtx, tape: &Tape, mesh: Mesh, init: Option<Vec<C64>>) -> Re
             }
         }
         let skip_sends = tape.faults.drop_at(s, rank);
+        // Runs of rank-local gates take one pass over the shard, tile by
+        // tile, instead of one per gate — bitwise the same updates.
+        collect_tile_run(tape, s, rank, &mut run);
+        if !run.is_empty() {
+            debug_assert!(mirror.is_none(), "local step inside a fusion window");
+            kernels::apply_tile_run(&mut shard, &run, TILE_BITS);
+            run_end = s + run.len();
+            continue;
+        }
         // Zero-message classes first: diagonal elision and block-local
         // application replace the exchange entirely. Both use the exact
         // per-amplitude expressions the single-node fast paths use, so

@@ -340,6 +340,13 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_request_line_is_rejected() {
+        let line = "[".repeat(1_000_000);
+        let err = Request::parse_line(&line).unwrap_err();
+        assert!(err.contains("bad JSON") && err.contains("nesting"), "{err}");
+    }
+
+    #[test]
     fn result_reply_round_trips_energy_bitwise() {
         let energy = -1.137_283_834_976_625_4_f64;
         let view = JobView {

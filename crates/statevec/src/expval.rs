@@ -30,6 +30,7 @@ use nwq_common::{bits::masked_parity, Error, Result, C64, C_ZERO};
 use nwq_pauli::grouping::MeasurementGroup;
 use nwq_pauli::{PauliOp, Phase};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Amplitude count at or above which the reductions here go parallel.
 const PAR_THRESHOLD: usize = 1 << 12;
@@ -113,13 +114,17 @@ fn diagonal_group_energy(state: &StateVector, group: &MeasurementGroup) -> f64 {
 /// (passes actually made) and `expval.sweeps_saved`.
 ///
 /// The inner loop is kept at least as lean as the per-term path's: terms
-/// are grouped in a flat sorted vector (no per-amplitude BTreeMap or
-/// nested-Vec indirection), the per-term sign is applied branchlessly
+/// are grouped by [`flip_groups`] (no per-amplitude map or nested
+/// indirection), the per-term sign is applied branchlessly
 /// (`f += c · (1 − 2·parity)`, bitwise identical to the `±c` branch since
 /// multiplying by exact ±1.0 is exact), and the `m = 0` group reads one
 /// amplitude per index via `norm_sqr` instead of a conjugate product
 /// (`Re(conj(a)·a)` computes `re·re − im·(−im)`, bitwise `norm_sqr`; the
 /// imaginary part of a Hermitian group sum is discarded anyway).
+///
+/// Each group folds serially in index order and the group sums are added
+/// in group order; large registers split their groups over the pool
+/// ([`map_group_chunks`]), which leaves every bit of the energy unchanged.
 pub fn energy_direct_batched(state: &StateVector, op: &PauliOp) -> Result<f64> {
     let psi = state.amplitudes();
     if psi.len() != 1usize << op.n_qubits() {
@@ -128,82 +133,88 @@ pub fn energy_direct_batched(state: &StateVector, op: &PauliOp) -> Result<f64> {
             got: psi.len(),
         });
     }
-    // Flatten terms to (flip_mask, eff_coeff, z_mask) and sort by mask; a
-    // stable sort reproduces the BTreeMap grouping this replaced (groups in
-    // ascending mask order, terms in Hamiltonian order within a group), so
-    // accumulation order — and thus the energy bits — is unchanged.
-    let mut terms: Vec<(u64, C64, u64)> = op
-        .terms()
-        .iter()
-        .map(|&(c, ref s)| {
-            let eff = c * Phase::from_power(s.y_count()).to_c64();
-            (s.x_mask(), eff, s.z_mask())
-        })
-        .collect();
-    terms.sort_by_key(|t| t.0);
-    let n_groups = terms.chunk_by(|a, b| a.0 == b.0).count();
+    let groups = flip_groups(op);
     nwq_telemetry::counter_add("expval.term_sweeps", op.num_terms() as u64);
-    nwq_telemetry::counter_add("expval.batched_sweeps", n_groups as u64);
-    nwq_telemetry::counter_add("expval.sweeps_saved", (op.num_terms() - n_groups) as u64);
+    nwq_telemetry::counter_add("expval.batched_sweeps", groups.len() as u64);
+    nwq_telemetry::counter_add(
+        "expval.sweeps_saved",
+        (op.num_terms() - groups.len()) as u64,
+    );
     let _span = nwq_telemetry::span!("expval.batched");
-    // The parallel reduction only pays off when the pool can actually run
-    // pieces concurrently; a single-thread pool takes the blocked SIMD
-    // sweep below (identical accumulation order, so identical bits).
-    let use_par = psi.len() >= PAR_THRESHOLD && crate::kernels::parallel_dispatch_enabled();
-    let mut fbuf = [C_ZERO; EXPVAL_BLOCK];
-    let mut wbuf = [C_ZERO; EXPVAL_BLOCK];
+    let sums = map_group_chunks(&groups, psi.len(), |chunk| {
+        shard_group_sums(psi, |_| psi, 0, chunk)
+    });
     let mut total = C_ZERO;
-    for group in terms.chunk_by(|a, b| a.0 == b.0) {
-        let m = group[0].0 as usize;
-        if use_par {
-            let body = |x: usize| -> C64 {
-                // NaN/Inf amplitudes still poison the sum through norm_sqr
-                // and surface via ensure_finite_energy below.
-                let w = if m == 0 {
-                    C64::new(psi[x].norm_sqr(), 0.0)
-                } else {
-                    psi[x ^ m].conj() * psi[x]
-                };
-                let mut f = C_ZERO;
-                for &(_, c, z) in group {
-                    let sign = 1.0 - 2.0 * ((x as u64 & z).count_ones() & 1) as f64;
-                    f += c.scale(sign);
-                }
-                w * f
-            };
-            total += (0..psi.len())
-                .into_par_iter()
-                .map(body)
-                .reduce(|| C_ZERO, |a, b| a + b);
-        } else {
-            // Blocked SIMD shape: fill a block of per-index group phases
-            // f(x) (branch-free sign sweep) and pair weights w(x), then
-            // fold w·f serially in index order. Each f and w is the same
-            // expression the fused loop computed, and the fold adds the
-            // products in the same order, so the energy bits are
-            // unchanged — only the f/w fills vectorize.
-            let mut acc = C_ZERO;
-            for base in (0..psi.len()).step_by(EXPVAL_BLOCK) {
-                let blk = EXPVAL_BLOCK.min(psi.len() - base);
-                crate::simd::group_phase_block(&mut fbuf[..blk], base, group);
-                crate::simd::flip_weights_block(&mut wbuf[..blk], psi, base, m);
-                for j in 0..blk {
-                    acc += wbuf[j] * fbuf[j];
-                }
-            }
-            total += acc;
-        }
+    for s in sums {
+        total += s;
     }
     ensure_finite_energy(total.re, "batched direct expectation")
+}
+
+/// How many tasks a readout of a `dim`-amplitude register splits into:
+/// the pool's thread count from [`PAR_THRESHOLD`] amplitudes up when the
+/// pool can run pieces concurrently, one otherwise.
+pub fn readout_pieces(dim: usize) -> usize {
+    if dim >= PAR_THRESHOLD && crate::kernels::parallel_dispatch_enabled() {
+        rayon::current_num_threads()
+    } else {
+        1
+    }
+}
+
+/// Cuts `groups` into at most `pieces` contiguous chunks of about equal
+/// readout cost, one task each. A group costs its term count (the phase
+/// fill) plus one (pair weights and fold), and goes to the chunk whose
+/// share of the total cost holds the group's midpoint.
+pub fn group_chunks(groups: &[FlipGroup], pieces: usize) -> Vec<Range<usize>> {
+    let cost = |g: &FlipGroup| g.terms.len() + 1;
+    let total: usize = groups.iter().map(cost).sum();
+    let mut chunks: Vec<Range<usize>> = Vec::new();
+    let (mut prefix, mut last) = (0, usize::MAX);
+    for (i, g) in groups.iter().enumerate() {
+        let k = (2 * prefix + cost(g)) * pieces / (2 * total);
+        prefix += cost(g);
+        match chunks.last_mut() {
+            Some(c) if k == last => c.end = i + 1,
+            _ => chunks.push(i..i + 1),
+        }
+        last = k;
+    }
+    chunks
+}
+
+/// Applies `fold` to contiguous chunks of the flip groups and returns the
+/// per-group results in group order — one chunk per task of
+/// [`readout_pieces`]`(dim)`, cut by [`group_chunks`]. Each group still
+/// folds serially in index order inside its chunk, so callers that add
+/// the results in group order get the serial bits on any pool size.
+/// Shared by [`energy_direct_batched`] and
+/// [`crate::walkers::walker_energies`], which keeps the walker readout
+/// bitwise the single-state one.
+pub(crate) fn map_group_chunks<T: Send>(
+    groups: &[FlipGroup],
+    dim: usize,
+    fold: impl Fn(&[FlipGroup]) -> Vec<T> + Sync + Send,
+) -> Vec<T> {
+    let pieces = readout_pieces(dim);
+    if pieces == 1 {
+        return fold(groups);
+    }
+    let chunks = group_chunks(groups, pieces);
+    let per_chunk: Vec<Vec<T>> = chunks
+        .par_iter()
+        .map(|c| fold(&groups[c.clone()]))
+        .collect();
+    per_chunk.into_iter().flatten().collect()
 }
 
 /// One flip-mask group of a Hamiltonian, preprocessed for the batched §4.2
 /// reduction: all terms share the X/Y flip-mask `mask`; each term carries
 /// its effective coefficient (`c · i^{y_count}`) and Z mask.
 ///
-/// This is the same grouping [`energy_direct_batched`] builds internally,
-/// exposed so shard-parallel evaluators (the distributed backend) can run
-/// the identical reduction without gathering the full state.
+/// This is the grouping [`energy_direct_batched`] reduces over, exposed
+/// so shard-parallel evaluators (the distributed backend) can run the
+/// identical reduction without gathering the full state.
 #[derive(Clone, Debug)]
 pub struct FlipGroup {
     /// X/Y flip-mask shared by every term in the group.
@@ -212,9 +223,9 @@ pub struct FlipGroup {
     pub terms: Vec<(C64, u64)>,
 }
 
-/// Groups a Hamiltonian's terms by X/Y flip-mask (ascending mask order,
-/// stable within a group), mirroring [`energy_direct_batched`]'s internal
-/// grouping exactly.
+/// Groups a Hamiltonian's terms by X/Y flip-mask: ascending mask order,
+/// Hamiltonian order within a group (a stable sort), which fixes the
+/// accumulation order — and so the bits — of every batched readout.
 pub fn flip_groups(op: &PauliOp) -> Vec<FlipGroup> {
     let mut terms: Vec<(u64, C64, u64)> = op
         .terms()
@@ -234,50 +245,54 @@ pub fn flip_groups(op: &PauliOp) -> Vec<FlipGroup> {
         .collect()
 }
 
-/// One rank's contribution to a flip-group's sum in a sharded register:
+/// Amplitudes per tile of [`shard_group_sums`]: 256 KiB of own amplitudes
+/// (plus as much of a partner's) stay in L2 while every group folds them.
+const READOUT_TILE: usize = 1 << 14;
+
+/// Every flip group's partial sum over one shard of a sharded register,
+/// from ONE pass over the shard: the shard is swept tile by tile, and
+/// each tile folds every group before the next tile is read. `own` holds
+/// global indices `base..base + len`; `partner(g)` is the shard holding
+/// group `g`'s `x ⊕ m` side (`own` itself when the mask flips no bit
+/// above the shard).
 ///
-/// `Σ_{x ∈ shard} conj(ψ[x⊕m]) ψ[x] · Σ_t c_t (−1)^{|x ∧ z_t|}`
-///
-/// `own` holds the rank's amplitudes (global indices `rank·2^n_local ..`),
-/// `partner` the shard holding the `x⊕m` side (the own shard again when
-/// the mask's global bits are zero). Same arithmetic as
-/// [`energy_direct_batched`]'s inner loop, including the branchless sign
-/// and the `norm_sqr` fast path for the diagonal (`m = 0`) group.
-pub fn shard_group_partial(
-    own: &[C64],
-    partner: &[C64],
-    rank: usize,
-    n_local: usize,
-    mask: u64,
-    terms: &[(C64, u64)],
-) -> C64 {
-    debug_assert_eq!(own.len(), partner.len());
-    debug_assert_eq!(own.len(), 1usize << n_local);
-    let local_mask = (1u64 << n_local) - 1;
-    let local_flip = (mask & local_mask) as usize;
-    let base = (rank as u64) << n_local;
-    let body = |k: usize| -> C64 {
-        let x = base | k as u64;
-        let w = if mask == 0 {
-            C64::new(own[k].norm_sqr(), 0.0)
-        } else {
-            partner[k ^ local_flip].conj() * own[k]
-        };
-        let mut f = C_ZERO;
-        for &(c, z) in terms {
-            let sign = 1.0 - 2.0 * ((x & z).count_ones() & 1) as f64;
-            f += c.scale(sign);
+/// Group `g` adds `Σ_k w(k) · f(base + k)`: the group phase `f` of the
+/// global index times the pair weight `w(k) = conj(partner[k ⊕ flip]) ·
+/// own[k]` (`|own[k]|²` for the diagonal group), where `flip` is the
+/// mask's bits within the shard. Blocked SIMD shape: fill a block of
+/// phases (branch-free sign sweep) and weights, then fold `w·f` serially,
+/// so only the fills vectorize and every group folds in plain index
+/// order — exactly as one serial sweep of the shard would, so a
+/// one-shard register gives bitwise the serial [`energy_direct_batched`]
+/// group sums.
+pub fn shard_group_sums<'a>(
+    own: &'a [C64],
+    partner: impl Fn(&FlipGroup) -> &'a [C64],
+    base: usize,
+    groups: &[FlipGroup],
+) -> Vec<C64> {
+    let mut sums = vec![C_ZERO; groups.len()];
+    let mut fbuf = [C_ZERO; EXPVAL_BLOCK];
+    let mut wbuf = [C_ZERO; EXPVAL_BLOCK];
+    for tile in (0..own.len()).step_by(READOUT_TILE) {
+        let tile_end = own.len().min(tile + READOUT_TILE);
+        for (g, sum) in groups.iter().zip(&mut sums) {
+            let partner = partner(g);
+            debug_assert_eq!(own.len(), partner.len());
+            let flip = (g.mask != 0).then(|| g.mask as usize & (own.len() - 1));
+            let mut acc = *sum;
+            for start in (tile..tile_end).step_by(EXPVAL_BLOCK) {
+                let blk = EXPVAL_BLOCK.min(tile_end - start);
+                crate::simd::group_phase_block(&mut fbuf[..blk], base + start, &g.terms);
+                crate::simd::flip_weights_block(&mut wbuf[..blk], own, partner, start, flip);
+                for j in 0..blk {
+                    acc += wbuf[j] * fbuf[j];
+                }
+            }
+            *sum = acc;
         }
-        w * f
-    };
-    if own.len() >= PAR_THRESHOLD {
-        (0..own.len())
-            .into_par_iter()
-            .map(body)
-            .reduce(|| C_ZERO, |a, b| a + b)
-    } else {
-        (0..own.len()).map(body).sum()
     }
+    sums
 }
 
 /// Result of a full energy evaluation, with the gate accounting that
@@ -540,11 +555,19 @@ mod tests {
         let shards: Vec<&[C64]> = (0..n_ranks)
             .map(|r| &full[r * part..(r + 1) * part])
             .collect();
+        let groups = flip_groups(&h);
+        let partials: Vec<Vec<C64>> = shards
+            .iter()
+            .enumerate()
+            .map(|(r, own)| {
+                let partner = |g: &FlipGroup| shards[r ^ (g.mask >> n_local) as usize];
+                shard_group_sums(own, partner, r << n_local, &groups)
+            })
+            .collect();
         let mut total = C_ZERO;
-        for g in flip_groups(&h) {
-            for (r, own) in shards.iter().enumerate() {
-                let partner = shards[r ^ (g.mask >> n_local) as usize];
-                total += shard_group_partial(own, partner, r, n_local, g.mask, &g.terms);
+        for g in 0..groups.len() {
+            for p in &partials {
+                total += p[g];
             }
         }
         assert!(
@@ -554,6 +577,77 @@ mod tests {
             single
         );
         assert!(total.im.abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_shard_group_sums_are_bitwise_the_batched_direct_energy() {
+        // Registers below, at and above the readout tile; a single shard
+        // is the whole register, so the one-pass tiled sweep must add up
+        // to exactly the energy of the per-group sweeps.
+        for n in [3usize, 12, 15] {
+            let mut ansatz = Circuit::new(n);
+            for q in 0..n {
+                ansatz.h(q).ry(q, 0.1 + 0.05 * q as f64);
+            }
+            ansatz.cx(0, n - 1).rz(1, 0.4).cx(n - 1, 1);
+            let h = PauliOp::parse(&format!(
+                "0.5 {}X + 0.25 Z{} + 0.125 {} + 0.3 Y{}Y + 0.05 {}",
+                "I".repeat(n - 1),
+                "I".repeat(n - 1),
+                "Z".repeat(n),
+                "I".repeat(n - 2),
+                "I".repeat(n)
+            ))
+            .unwrap();
+            let s = crate::executor::simulate(&ansatz, &[]).unwrap();
+            let groups = flip_groups(&h);
+            let own = s.amplitudes();
+            let mut total = C_ZERO;
+            for p in shard_group_sums(own, |_| own, 0, &groups) {
+                total += p;
+            }
+            let batched = energy_direct_batched(&s, &h).unwrap();
+            assert_eq!(total.re.to_bits(), batched.to_bits(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn group_chunks_are_contiguous_and_balanced_by_cost() {
+        // 6 diagonal terms (cost 7) then 12 terms on one flip mask (cost
+        // 13): two pieces give one group each.
+        let h = PauliOp::parse(
+            "0.1 ZIII + 0.1 IZII + 0.1 IIZI + 0.1 IIIZ + 0.1 ZZII + 0.1 IIZZ + \
+             0.1 XIII + 0.1 XZII + 0.1 XIZI + 0.1 XIIZ + 0.1 XZZI + 0.1 XIZZ + \
+             0.1 XZIZ + 0.1 XZZZ + 0.1 YIII + 0.1 YZII + 0.1 YIZI + 0.1 YIIZ",
+        )
+        .unwrap();
+        let groups = flip_groups(&h);
+        assert_eq!(groups.len(), 2);
+        assert_eq!(group_chunks(&groups, 2), vec![0..1, 1..2]);
+        assert_eq!(group_chunks(&groups, 1), vec![0..2]);
+        assert_eq!(group_chunks(&groups, 8), vec![0..1, 1..2]);
+        // One heavy diagonal group and many light ones: the light ones
+        // fill the second chunk instead of trailing the heavy one.
+        let mut terms = vec!["0.5 ZZIIII".to_string()];
+        for q in 0..6 {
+            let mut zz = ['I'; 6];
+            zz[q] = 'Z';
+            zz[(q + 1) % 6] = 'Z';
+            terms.push(format!("0.5 {}", zz.iter().collect::<String>()));
+            let mut x = ['I'; 6];
+            x[q] = 'X';
+            terms.push(format!("0.25 {}", x.iter().collect::<String>()));
+        }
+        let groups = flip_groups(&PauliOp::parse(&terms.join(" + ")).unwrap());
+        for pieces in 1..=8 {
+            let chunks = group_chunks(&groups, pieces);
+            assert!(chunks.len() <= pieces && !chunks.is_empty());
+            assert_eq!(chunks[0].start, 0);
+            assert_eq!(chunks.last().unwrap().end, groups.len());
+            assert!(chunks.windows(2).all(|w| w[0].end == w[1].start));
+        }
+        assert_eq!(group_chunks(&groups, 2), vec![0..2, 2..7]);
+        assert!(group_chunks(&[], 4).is_empty());
     }
 
     #[test]

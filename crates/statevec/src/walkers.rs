@@ -24,7 +24,7 @@
 //! independent single-state runs — the tests and the serve batcher rely
 //! on this.
 
-use crate::expval::{ensure_finite_energy, flip_groups};
+use crate::expval::{ensure_finite_energy, flip_groups, map_group_chunks};
 use crate::kernels::{DiagFactor, Mat4Shape, SubKind};
 use crate::plan::{ExecPlan, PlanOp};
 use crate::state::StateVector;
@@ -475,7 +475,9 @@ const WALKER_BLOCK: usize = 128;
 /// computed once per amplitude index and shared by every walker — the
 /// readout work drops from `n_walkers` full term sweeps to one, which on
 /// many-term Hamiltonians dominates the whole evaluation. Per walker the
-/// result is bitwise [`crate::expval::energy_direct_batched`].
+/// result is bitwise [`crate::expval::energy_direct_batched`] on any pool
+/// size: both fold each group serially in index order (groups split over
+/// the pool on large registers) and add the group sums in group order.
 pub fn walker_energies(set: &WalkerSet, op: &PauliOp) -> Result<Vec<f64>> {
     if set.dim() != 1usize << op.n_qubits() {
         return Err(Error::DimensionMismatch {
@@ -493,21 +495,30 @@ pub fn walker_energies(set: &WalkerSet, op: &PauliOp) -> Result<Vec<f64>> {
         "expval.sweeps_saved",
         (op.num_terms() * nw - groups.len()) as u64,
     );
+    let sums = map_group_chunks(&groups, dim, |chunk| {
+        let mut fbuf = [C_ZERO; WALKER_BLOCK];
+        let fold = |g: &crate::expval::FlipGroup| {
+            let mut accs = vec![C_ZERO; nw];
+            for base in (0..dim).step_by(WALKER_BLOCK) {
+                let blk = WALKER_BLOCK.min(dim - base);
+                crate::simd::group_phase_block(&mut fbuf[..blk], base, &g.terms);
+                walker_accum(
+                    &mut accs,
+                    set.amplitudes(),
+                    nw,
+                    base,
+                    g.mask as usize,
+                    &fbuf[..blk],
+                );
+            }
+            accs
+        };
+        chunk.iter().map(fold).collect()
+    });
     let mut totals = vec![C_ZERO; nw];
-    let mut accs = vec![C_ZERO; nw];
-    let mut fbuf = [C_ZERO; WALKER_BLOCK];
-    for g in &groups {
-        let m = g.mask as usize;
-        // group_phase_block's term triples carry the mask slot unused.
-        let triples: Vec<(u64, C64, u64)> = g.terms.iter().map(|&(c, z)| (g.mask, c, z)).collect();
-        accs.fill(C_ZERO);
-        for base in (0..dim).step_by(WALKER_BLOCK) {
-            let blk = WALKER_BLOCK.min(dim - base);
-            crate::simd::group_phase_block(&mut fbuf[..blk], base, &triples);
-            walker_accum(&mut accs, set.amplitudes(), nw, base, m, &fbuf[..blk]);
-        }
-        for (t, a) in totals.iter_mut().zip(&accs) {
-            *t += *a;
+    for accs in sums {
+        for (t, a) in totals.iter_mut().zip(accs) {
+            *t += a;
         }
     }
     totals
@@ -592,6 +603,39 @@ mod tests {
             .map(|p| ExecPlan::compile(&c, p).unwrap())
             .collect();
         let mut set = WalkerSet::zero(6, plans.len()).unwrap();
+        Executor::new().run_plans_walkers(&plans, &mut set).unwrap();
+        let batched = walker_energies(&set, &h).unwrap();
+        for (w, plan) in plans.iter().enumerate() {
+            let single = Executor::new().run_plan(plan).unwrap();
+            let e = energy_direct_batched(&single, &h).unwrap();
+            assert_eq!(batched[w].to_bits(), e.to_bits(), "walker {w}");
+        }
+    }
+
+    #[test]
+    fn walker_energies_bitwise_match_batched_direct_on_the_default_pool() {
+        // 12 qubits is 4096 amplitudes: the size from which both readouts
+        // fold their flip groups in parallel on a multi-thread pool.
+        let n = 12;
+        let c = ansatz(n);
+        let mut terms = Vec::new();
+        for q in 0..n {
+            let mut zz = vec!['I'; n];
+            zz[q] = 'Z';
+            zz[(q + 1) % n] = 'Z';
+            terms.push(format!("0.5 {}", zz.iter().collect::<String>()));
+            let mut xx = vec!['I'; n];
+            xx[q] = 'X';
+            xx[(q + 3) % n] = 'Y';
+            terms.push(format!("0.25 {}", xx.iter().collect::<String>()));
+        }
+        let h = nwq_pauli::PauliOp::parse(&terms.join(" + ")).unwrap();
+        let thetas = [[0.3, -0.7, 1.1], [0.9, 0.4, -1.3], [1.7, 0.2, 0.5]];
+        let plans: Vec<ExecPlan> = thetas
+            .iter()
+            .map(|p| ExecPlan::compile(&c, p).unwrap())
+            .collect();
+        let mut set = WalkerSet::zero(n, plans.len()).unwrap();
         Executor::new().run_plans_walkers(&plans, &mut set).unwrap();
         let batched = walker_energies(&set, &h).unwrap();
         for (w, plan) in plans.iter().enumerate() {

@@ -9,13 +9,18 @@
 //! `WalkerSet` evolved through aligned plans must hold, per walker, the
 //! exact amplitudes (and energies) of that walker's independent run.
 //!
+//! A tile run (every gate of a run applied tile by tile) must likewise
+//! equal per-gate application bit for bit, at every tile width.
+//!
 //! The scalar/SIMD switch is process-global, so every test in this file
 //! serializes on one lock; a test observing the switch mid-flip would
 //! otherwise silently compare scalar against scalar.
 
 use nwq_common::mat::{mat_cp, mat_cx, mat_h, mat_rz, mat_rzz, mat_swap, mat_x, mat_y};
 use nwq_common::C64;
-use nwq_statevec::kernels::{apply_diag_sweep, apply_mat2, apply_mat4, DiagFactor};
+use nwq_statevec::kernels::{
+    apply_diag_sweep, apply_mat2, apply_mat4, apply_tile_run, DiagFactor, TileGate,
+};
 use nwq_statevec::simd::set_force_scalar;
 use nwq_statevec::{ExecPlan, Executor, WalkerSet};
 use proptest::prelude::*;
@@ -166,6 +171,58 @@ proptest! {
         set_force_scalar(false);
         let simd = nwq_statevec::expval::energy_direct_batched(&state, &op).unwrap();
         prop_assert_eq!(scalar.to_bits(), simd.to_bits());
+    }
+
+    /// A run of local gates applied tile by tile equals per-gate
+    /// application bitwise, at every tile width from one pair up to the
+    /// whole register, SIMD and forced-scalar. Gate qubits are folded
+    /// below the tile width (`q % t`); two-qubit gates whose folded
+    /// qubits collide are dropped from that width's run.
+    #[test]
+    fn tile_run_matches_per_gate_bitwise(
+        n in 6usize..=12,
+        specs in proptest::collection::vec((0u8..8, 0usize..12, 1usize..12, -3.0..3.0f64), 1..24),
+        seed in 0u64..1000,
+    ) {
+        let psi = rand_state(n, seed);
+        let _g = lock();
+        for scalar in [true, false] {
+            set_force_scalar(scalar);
+            for t in 1..=n {
+                let mut per_gate = psi.clone();
+                let mut gates = Vec::new();
+                for &(kind, q, dq, angle) in &specs {
+                    let (qa, qb) = (q % t, (q + dq) % t);
+                    let one = match kind {
+                        0 => Some(mat_h()),
+                        1 => Some(mat_rz(angle)),
+                        2 => Some(mat_y()),
+                        3 => Some(nwq_common::mat::mat_ry(angle)),
+                        _ => None,
+                    };
+                    if let Some(m) = one {
+                        apply_mat2(&mut per_gate, qa, &m);
+                        gates.push(TileGate::one(qa, &m));
+                        continue;
+                    }
+                    if qa == qb {
+                        continue;
+                    }
+                    let m = match kind {
+                        4 => mat_cx(),
+                        5 => mat_swap(),
+                        6 => mat_rzz(angle),
+                        _ => mat_cp(angle),
+                    };
+                    apply_mat4(&mut per_gate, qa, qb, &m);
+                    gates.push(TileGate::two(qa, qb, &m));
+                }
+                let mut tiled = psi.clone();
+                apply_tile_run(&mut tiled, &gates, t);
+                prop_assert_eq!(bits(&tiled), bits(&per_gate), "n={} t={} scalar={}", n, t, scalar);
+            }
+        }
+        set_force_scalar(false);
     }
 
     /// An N-walker batched sweep must hold, per walker, exactly the

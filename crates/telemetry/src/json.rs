@@ -8,6 +8,12 @@
 //! finite `f64` values survive a render → parse cycle bitwise, which the
 //! checkpoint/restart layer in `nwq-core` relies on.
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so without a cap one request line of a
+/// million `[` would overflow the stack and abort the process; no
+/// document the workspace writes nests deeper than a handful of levels.
+const MAX_JSON_DEPTH: usize = 128;
+
 /// A JSON value tree.
 #[derive(Clone, Debug)]
 pub enum JsonValue {
@@ -37,11 +43,13 @@ impl JsonValue {
     /// whitespace, string escapes, scientific notation); numbers parse to
     /// [`JsonValue::Int`] when they are plain non-negative integers that fit
     /// a `u64`, otherwise to [`JsonValue::Float`]. Trailing garbage after
-    /// the top-level value is an error.
+    /// the top-level value is an error, and so is nesting arrays and
+    /// objects more than 128 levels deep.
     pub fn parse(input: &str) -> std::result::Result<JsonValue, ParseError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -174,6 +182,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -222,8 +232,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Int(1)),
             Some(b'f') => self.literal("false", JsonValue::Int(0)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -532,6 +553,28 @@ mod tests {
         }
         let err = JsonValue::parse("[1, oops]").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let deep = "[".repeat(1_000_000);
+        let err = JsonValue::parse(&deep).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_JSON_DEPTH);
+        let at_cap = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(JsonValue::parse(&at_cap).is_ok());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_JSON_DEPTH),
+            "}".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(JsonValue::parse(&objects).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(JsonValue::parse(&over).is_err());
     }
 
     #[test]
